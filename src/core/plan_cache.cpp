@@ -137,19 +137,21 @@ std::shared_ptr<const partition::ProfileCurve> PlanCache::curve(
   return it->second;  // first insert wins for racing builders
 }
 
+std::shared_ptr<const ExecutionPlan> PlanCache::find_plan(
+    const PlanCacheKey& key) {
+  obs::ScopedTimer probe(lookup_histogram());
+  util::SharedLock lock(mutex_);
+  const auto it = plans_.find(key);
+  if (it == plans_.end()) return nullptr;
+  plan_hits_.fetch_add(1, std::memory_order_relaxed);
+  plan_hit_counter().add();
+  hit_ratio_gauge().set(stats().hit_rate());
+  return it->second;
+}
+
 std::shared_ptr<const ExecutionPlan> PlanCache::plan(const PlanCacheKey& key,
                                                      const PlanBuilder& build) {
-  {
-    obs::ScopedTimer probe(lookup_histogram());
-    util::SharedLock lock(mutex_);
-    const auto it = plans_.find(key);
-    if (it != plans_.end()) {
-      plan_hits_.fetch_add(1, std::memory_order_relaxed);
-      plan_hit_counter().add();
-      hit_ratio_gauge().set(stats().hit_rate());
-      return it->second;
-    }
-  }
+  if (auto hit = find_plan(key)) return hit;
   plan_misses_.fetch_add(1, std::memory_order_relaxed);
   plan_miss_counter().add();
   hit_ratio_gauge().set(stats().hit_rate());
@@ -256,6 +258,11 @@ std::shared_ptr<const partition::ProfileCurve> ShardedPlanCache::curve(
 std::shared_ptr<const ExecutionPlan> ShardedPlanCache::plan(
     const PlanCacheKey& key, const PlanCache::PlanBuilder& build) {
   return shards_[shard_of(key)]->plan(key, build);
+}
+
+std::shared_ptr<const ExecutionPlan> ShardedPlanCache::find_plan(
+    const PlanCacheKey& key) {
+  return shards_[shard_of(key)]->find_plan(key);
 }
 
 void ShardedPlanCache::insert_plan(const PlanCacheKey& key,

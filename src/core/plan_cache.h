@@ -103,6 +103,12 @@ class PlanCache {
   [[nodiscard]] std::shared_ptr<const ExecutionPlan> plan(
       const PlanCacheKey& key, const PlanBuilder& build);
 
+  /// The cached plan for `key`, or nullptr; never builds.  Counts a plan
+  /// hit on success and nothing on a miss, so a caller that falls back to
+  /// plan() after a nullptr still has that lookup counted exactly once.
+  [[nodiscard]] std::shared_ptr<const ExecutionPlan> find_plan(
+      const PlanCacheKey& key);
+
   /// One exported plan-table entry (snapshot format, tests).
   using PlanEntry = std::pair<PlanCacheKey, std::shared_ptr<const ExecutionPlan>>;
 
@@ -139,7 +145,8 @@ class PlanCache {
   /// The process-wide cache the benches, CLI, and serving paths share.
   [[nodiscard]] static PlanCache& global();
 
- private:
+  /// The hashes the tables key on (also shard routing, and any other map
+  /// that must treat two keys as one exactly when the cache does).
   struct CurveKeyHash {
     std::size_t operator()(const CurveCacheKey& k) const;
   };
@@ -147,8 +154,7 @@ class PlanCache {
     std::size_t operator()(const PlanCacheKey& k) const;
   };
 
-  friend class ShardedPlanCache;
-
+ private:
   // One lock-order name per cache *class*: every shard (and the global
   // cache) is interchangeable in the acquisition graph, and no code path
   // nests two of them.
@@ -183,11 +189,13 @@ class ShardedPlanCache {
   ShardedPlanCache(const ShardedPlanCache&) = delete;
   ShardedPlanCache& operator=(const ShardedPlanCache&) = delete;
 
-  /// Same contract as PlanCache::curve / PlanCache::plan.
+  /// Same contract as PlanCache::curve / plan / find_plan.
   [[nodiscard]] std::shared_ptr<const partition::ProfileCurve> curve(
       const CurveCacheKey& key, const PlanCache::CurveBuilder& build);
   [[nodiscard]] std::shared_ptr<const ExecutionPlan> plan(
       const PlanCacheKey& key, const PlanCache::PlanBuilder& build);
+  [[nodiscard]] std::shared_ptr<const ExecutionPlan> find_plan(
+      const PlanCacheKey& key);
 
   /// Same contract as the PlanCache counterparts; entries aggregate across
   /// shards and nearest_plan scans every shard for the global minimum.

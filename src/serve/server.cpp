@@ -1,7 +1,6 @@
 #include "serve/server.h"
 
 #include <algorithm>
-#include <bit>
 #include <chrono>
 #include <cmath>
 #include <exception>
@@ -32,18 +31,10 @@ double steady_now_ms() {
       .count();
 }
 
-// Coalescing/backpressure key: every field that changes the answer.  The
-// bucket's raw bits (not its decimal rendering) so two doubles coalesce
-// exactly when the cache would treat them as one key.
-std::string inflight_key(const PlanRequest& request, double bucket_mbps) {
-  std::string key = request.model;
-  key += '|';
-  key += std::to_string(static_cast<int>(request.strategy));
-  key += '|';
-  key += std::to_string(request.n_jobs);
-  key += '|';
-  key += std::to_string(std::bit_cast<std::uint64_t>(bucket_mbps));
-  return key;
+// Deadline test shared by all three checks; a zero deadline never expires.
+bool deadline_expired(const PlanRequest& request, double arrival_ms) {
+  return request.deadline_ms > 0.0 &&
+         steady_now_ms() - arrival_ms >= request.deadline_ms;
 }
 
 PlanReply error_reply(Status status, std::string message) {
@@ -173,12 +164,11 @@ Server::Server(ServerOptions options)
 
 Server::~Server() { stop(); }
 
-Server::PlanOutcome Server::compute_plan(const PlanRequest& request,
-                                         double bucket_mbps) {
+Server::PlanOutcome Server::compute_plan(const core::PlanCacheKey& key) {
   // Runs on a pool worker; ThreadPool::submit carried the leader's
   // TraceContext here, so these spans join the request's tree.
   obs::Span compute_span("serve.plan_compute", "serve");
-  compute_span.arg("model", request.model);
+  compute_span.arg("model", key.model);
 
   if (options_.debug_plan_delay_ms > 0.0) {
     std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(
@@ -188,7 +178,7 @@ Server::PlanOutcome Server::compute_plan(const PlanRequest& request,
   std::shared_ptr<const dnn::Graph> graph;
   {
     util::MutexLock lock(graphs_mutex_);
-    auto it = graphs_.find(request.model);
+    auto it = graphs_.find(key.model);
     if (it != graphs_.end()) graph = it->second;
   }
   if (!graph) {
@@ -196,30 +186,29 @@ Server::PlanOutcome Server::compute_plan(const PlanRequest& request,
     // caller maps that to NOT_FOUND.  Build outside the map lock (graph
     // construction is the expensive part); last insert wins harmlessly.
     obs::Span graph_span("serve.model_graph", "serve");
-    auto built = std::make_shared<const dnn::Graph>(models::build(request.model));
+    auto built = std::make_shared<const dnn::Graph>(models::build(key.model));
     util::MutexLock lock(graphs_mutex_);
-    graph = graphs_.emplace(request.model, std::move(built)).first->second;
+    graph = graphs_.emplace(key.model, std::move(built)).first->second;
   }
 
-  const net::Channel channel(bucket_mbps);
-  const core::CurveCacheKey curve_key(request.model, options_.device.name,
-                                      bucket_mbps);
+  const net::Channel channel(key.bandwidth_mbps);
+  const core::CurveCacheKey curve_key(key.model, key.device,
+                                      key.bandwidth_mbps);
   auto curve = cache_.curve(curve_key, [&] {
     const profile::LatencyModel mobile(options_.device);
     return partition::ProfileCurve::build(*graph, mobile, channel);
   });
 
   PlanOutcome outcome;
-  outcome.bucket_mbps = bucket_mbps;
+  outcome.bucket_mbps = key.bandwidth_mbps;
   bool built = false;
-  const core::PlanCacheKey plan_key(request.model, options_.device.name,
-                                    bucket_mbps, request.strategy,
-                                    request.n_jobs);
   {
+    // A second look: another leader may have inserted this key since the
+    // connection thread's fast-path lookup missed.
     obs::Span cache_span("serve.cache_lookup", "serve");
-    outcome.plan = cache_.plan(plan_key, [&] {
+    outcome.plan = cache_.plan(key, [&] {
       built = true;
-      return core::Planner(*curve).plan(request.strategy, request.n_jobs);
+      return core::Planner(*curve).plan(key.strategy, key.n_jobs);
     });
     cache_span.arg("hit", built ? "0" : "1");
   }
@@ -244,15 +233,13 @@ PlanReply Server::to_reply(const PlanOutcome& outcome) const {
   return reply;
 }
 
-PlanReply Server::stale_reply(const PlanRequest& request, double bucket_mbps) {
+PlanReply Server::stale_reply(const PlanRequest& request,
+                              const core::PlanCacheKey& key) {
   static obs::Counter& stale_counter = obs::counter("serve.stale_served");
 
   obs::Span span("serve.stale_lookup", "serve");
-  const core::PlanCacheKey want(request.model, options_.device.name,
-                                bucket_mbps, request.strategy,
-                                request.n_jobs);
   double stale_bw = 0.0;
-  auto plan = cache_.nearest_plan(want, &stale_bw);
+  auto plan = cache_.nearest_plan(key, &stale_bw);
   if (!plan) {
     return error_reply(Status::kUnavailable,
                        "breaker open for tenant '" + request.tenant +
@@ -281,14 +268,52 @@ PlanReply Server::handle_plan(const PlanRequest& request) {
   return reply;
 }
 
+PlanReply Server::deadline_reply(const PlanRequest& request,
+                                 const char* where) {
+  static obs::Counter& deadline_count = obs::counter("serve.deadline_exceeded");
+  deadline_exceeded_.fetch_add(1, std::memory_order_relaxed);
+  deadline_count.add();
+  return error_reply(Status::kDeadlineExceeded,
+                     "deadline of " + std::to_string(request.deadline_ms) +
+                         " ms exhausted " + where);
+}
+
+PlanReply Server::finish_reply(const PlanRequest& request, double arrival_ms,
+                               PlanReply reply) {
+  static obs::Counter& breaker_opens = obs::counter("serve.breaker_opens");
+  static obs::Gauge& breaker_gauge = obs::gauge("serve.breaker_open");
+
+  // Deadline check 3/3: the plan is ready (cached or just computed) but too
+  // late.  A computed plan stays cached (the NEXT request gets it cheaply);
+  // only this reply turns into kDeadlineExceeded.
+  if (reply.status == Status::kOk && deadline_expired(request, arrival_ms)) {
+    const bool was_coalesced = reply.coalesced;
+    reply = deadline_reply(request, "before reply");
+    reply.coalesced = was_coalesced;
+  }
+
+  if (options_.breaker_enabled) {
+    // kInternal (planner broken) and kDeadlineExceeded (planner too slow)
+    // are server-health failures; client-caused statuses are not.
+    const bool failure = reply.status == Status::kInternal ||
+                         reply.status == Status::kDeadlineExceeded;
+    breaker_.record(request.tenant, steady_now_ms(), failure,
+                    steady_now_ms() - arrival_ms);
+    const std::uint64_t opens_now = breaker_.opens();
+    const std::uint64_t opens_prev =
+        breaker_opens_seen_.exchange(opens_now, std::memory_order_relaxed);
+    if (opens_now > opens_prev) breaker_opens.add(opens_now - opens_prev);
+    breaker_gauge.set(static_cast<double>(breaker_.open_count()));
+  }
+  return reply;
+}
+
 PlanReply Server::process_plan(const PlanRequest& request) {
   static obs::Counter& requests_total = obs::counter("serve.requests");
   static obs::Counter& coalesce_hits = obs::counter("serve.coalesce_hits");
   static obs::Counter& cache_hits = obs::counter("serve.cache_hits");
   static obs::Counter& shed_rate = obs::counter("serve.shed_rate_limited");
   static obs::Counter& shed_overload = obs::counter("serve.shed_overload");
-  static obs::Counter& deadline_count = obs::counter("serve.deadline_exceeded");
-  static obs::Counter& breaker_opens = obs::counter("serve.breaker_opens");
   static obs::Histogram& plan_ms = obs::histogram("serve.plan_ms");
   static obs::Gauge& inflight_gauge = obs::gauge("serve.inflight");
   static obs::Gauge& breaker_gauge = obs::gauge("serve.breaker_open");
@@ -299,8 +324,8 @@ PlanReply Server::process_plan(const PlanRequest& request) {
   requests_total.add();
 
   // Covers validation, deadline checks, rate limiting, and the breaker gate;
-  // reset just before the coalescing block so "time spent being admitted" is
-  // separable from "time spent waiting for a plan" in the trace.
+  // reset just before the cache lookup so "time spent being admitted" is
+  // separable from "time spent finding a plan" in the trace.
   std::optional<obs::Span> admission_span;
   admission_span.emplace("serve.admission", "serve");
 
@@ -310,6 +335,13 @@ PlanReply Server::process_plan(const PlanRequest& request) {
   if (!std::isfinite(request.bandwidth_mbps) || request.bandwidth_mbps <= 0.0)
     return error_reply(Status::kInvalidArgument,
                        "bandwidth_mbps must be finite and > 0");
+  // A finite bandwidth near DBL_MAX still overflows its bucket to +inf, and
+  // the cache key refuses a non-finite bandwidth by contract.
+  const double bucket =
+      quantize_bandwidth(request.bandwidth_mbps, options_.bandwidth_bucket_mbps);
+  if (!std::isfinite(bucket))
+    return error_reply(Status::kInvalidArgument,
+                       "bandwidth_mbps is too large to bucket");
   if (request.n_jobs < 1)
     return error_reply(Status::kInvalidArgument, "n_jobs must be >= 1");
   if (request.strategy == core::Strategy::kBruteForce ||
@@ -322,19 +354,6 @@ PlanReply Server::process_plan(const PlanRequest& request) {
     return error_reply(Status::kInvalidArgument,
                        "deadline_ms must be finite and >= 0");
 
-  const bool has_deadline = request.deadline_ms > 0.0;
-  const auto deadline_expired = [&] {
-    return has_deadline &&
-           steady_now_ms() - arrival_ms >= request.deadline_ms;
-  };
-  const auto deadline_reply = [&](const char* where) {
-    deadline_exceeded_.fetch_add(1, std::memory_order_relaxed);
-    deadline_count.add();
-    return error_reply(Status::kDeadlineExceeded,
-                       "deadline of " + std::to_string(request.deadline_ms) +
-                           " ms exhausted " + where);
-  };
-
   if (options_.debug_admission_delay_ms > 0.0) {
     std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(
         options_.debug_admission_delay_ms));
@@ -342,7 +361,8 @@ PlanReply Server::process_plan(const PlanRequest& request) {
 
   // Deadline check 1/3: a request that arrives already expired (or expired
   // in the accept queue) must not consume an admission token.
-  if (deadline_expired()) return deadline_reply("at admission");
+  if (deadline_expired(request, arrival_ms))
+    return deadline_reply(request, "at admission");
 
   if (!admission_.admit(request.tenant, steady_now_ms())) {
     shed_rate_limited_.fetch_add(1, std::memory_order_relaxed);
@@ -351,25 +371,43 @@ PlanReply Server::process_plan(const PlanRequest& request) {
                        "tenant '" + request.tenant + "' over rate limit");
   }
 
-  const double bucket =
-      quantize_bandwidth(request.bandwidth_mbps, options_.bandwidth_bucket_mbps);
-
   // Deadline check 2/3: before any planning work is queued.  Running this
   // BEFORE the breaker gate means an expired probe never needs cancelling.
-  if (deadline_expired()) return deadline_reply("before planning");
+  if (deadline_expired(request, arrival_ms))
+    return deadline_reply(request, "before planning");
+
+  // The one key of this request: the plan cache, the stale lookup and the
+  // coalescing map all use it.
+  const core::PlanCacheKey key(request.model, options_.device.name, bucket,
+                               request.strategy, request.n_jobs);
 
   CircuitBreaker::Decision decision = CircuitBreaker::Decision::kClosed;
   if (options_.breaker_enabled) {
     decision = breaker_.admit(request.tenant, steady_now_ms());
     if (decision == CircuitBreaker::Decision::kOpen) {
       breaker_gauge.set(static_cast<double>(breaker_.open_count()));
-      return stale_reply(request, bucket);
+      return stale_reply(request, key);
     }
   }
   const bool probe = decision == CircuitBreaker::Decision::kProbe;
 
   admission_span.reset();
-  const std::string key = inflight_key(request, bucket);
+
+  // Fast path: a ready plan is answered here on the connection thread.  It
+  // takes no inflight slot and never touches the pool; only misses go on
+  // to coalescing and a Planner run.
+  std::shared_ptr<const core::ExecutionPlan> cached;
+  {
+    obs::Span cache_span("serve.cache_lookup", "serve");
+    cached = cache_.find_plan(key);
+    cache_span.arg("hit", cached ? "1" : "0");
+  }
+  if (cached) {
+    cache_hits_.fetch_add(1, std::memory_order_relaxed);
+    cache_hits.add();
+    return finish_reply(request, arrival_ms,
+                        to_reply({std::move(cached), true, bucket}));
+  }
 
   std::shared_future<PlanOutcome> future;
   bool leader = false;
@@ -391,9 +429,7 @@ PlanReply Server::process_plan(const PlanRequest& request) {
                                " computations in flight)");
       }
       try {
-        future = pool_.submit([this, request, bucket] {
-                        return compute_plan(request, bucket);
-                      })
+        future = pool_.submit([this, key] { return compute_plan(key); })
                      .share();
       } catch (const std::exception&) {
         // Pool already shut down: we lost the race with stop().
@@ -440,30 +476,7 @@ PlanReply Server::process_plan(const PlanRequest& request) {
     inflight_.erase(key);
     inflight_gauge.set(static_cast<double>(inflight_.size()));
   }
-
-  // Deadline check 3/3: planning finished but too late.  The computed plan
-  // stays cached (the NEXT request gets it cheaply); only this reply turns
-  // into kDeadlineExceeded.
-  if (reply.status == Status::kOk && deadline_expired()) {
-    const bool was_coalesced = reply.coalesced;
-    reply = deadline_reply("before reply");
-    reply.coalesced = was_coalesced;
-  }
-
-  if (options_.breaker_enabled) {
-    // kInternal (planner broken) and kDeadlineExceeded (planner too slow)
-    // are server-health failures; client-caused statuses are not.
-    const bool failure = reply.status == Status::kInternal ||
-                         reply.status == Status::kDeadlineExceeded;
-    breaker_.record(request.tenant, steady_now_ms(), failure,
-                    steady_now_ms() - arrival_ms);
-    const std::uint64_t opens_now = breaker_.opens();
-    const std::uint64_t opens_prev =
-        breaker_opens_seen_.exchange(opens_now, std::memory_order_relaxed);
-    if (opens_now > opens_prev) breaker_opens.add(opens_now - opens_prev);
-    breaker_gauge.set(static_cast<double>(breaker_.open_count()));
-  }
-  return reply;
+  return finish_reply(request, arrival_ms, std::move(reply));
 }
 
 StatsReply Server::build_stats_reply() {
@@ -576,6 +589,11 @@ void Server::handle_connection(ByteStream& stream) {
       protocol_errors_.fetch_add(1, std::memory_order_relaxed);
       protocol_errors.add();
       out = encode_plan_reply(error_reply(Status::kInvalidArgument, e.what()),
+                              kVersion);
+    } catch (const std::exception& e) {
+      // Anything else is a server fault, not the peer's: answer INTERNAL and
+      // keep both the connection and the daemon alive.
+      out = encode_plan_reply(error_reply(Status::kInternal, e.what()),
                               kVersion);
     }
 

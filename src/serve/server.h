@@ -9,16 +9,20 @@
 //   * Bandwidth quantization — live uplink estimates are noisy; requests
 //     are snapped to `bandwidth_bucket_mbps` buckets so nearby estimates
 //     share one answer.  The reply reports the bucket actually planned at.
-//   * Request coalescing — concurrent requests for the same (model,
+//   * Plan caching — completed answers land in a ShardedPlanCache.  Once
+//     a request has passed every gate (drain, validation, deadlines,
+//     tenant admission, breaker), a cached key is answered right on the
+//     connection thread: a lock-striped lookup, no pool hop.
+//   * Request coalescing — concurrent cache MISSES for the same (model,
 //     strategy, n_jobs, bucket) share ONE Planner run via a shared_future
-//     map: the first arrival (the leader) computes, everyone else joins.
-//   * Plan caching — completed answers land in a ShardedPlanCache, so a
-//     repeat request after the burst has passed is a lock-striped lookup.
+//     map keyed by the cache key: the first arrival (the leader) computes
+//     on the pool, everyone else joins.
 //   * Admission control — a token bucket per tenant id sheds chatty tenants
 //     with RESOURCE_EXHAUSTED before any planning work is queued.
 //   * Backpressure — at most `max_inflight` distinct computations may be in
 //     flight; beyond that new leaders are shed with RESOURCE_EXHAUSTED
-//     instead of queueing unboundedly ("fail fast beats fail late").
+//     instead of queueing unboundedly ("fail fast beats fail late").  Cache
+//     hits take no slot, so they are never shed for overload.
 //
 // Transport: handle_connection() speaks the serve/protocol.h framing over
 // any ByteStream, so tests drive the full server through in-process pipes
@@ -43,8 +47,9 @@
 // Observability (PR 10 — see docs/OBSERVABILITY.md "Request tracing"):
 //   * Tracing — every request runs under an obs::TraceContext (adopted from
 //     a v3 frame's trace fields, or minted fresh), so its admission /
-//     coalesce-wait / cache-lookup / plan-compute / encode spans form one
-//     causal tree across the connection thread and the pool worker.
+//     cache-lookup / plan-wait or coalesce-wait / plan-compute / encode
+//     spans form one causal tree across the connection thread and the pool
+//     worker.  A cache hit's tree stays on the connection thread.
 //   * Flight recorder — completed traces are retained tail-based in the
 //     process-wide obs::FlightRecorder (errors + latency outliers always,
 //     the rest sampled) until a kTraceDump drains them.
@@ -95,7 +100,8 @@ struct ServerOptions {
   /// Planner worker threads (the pool all plan computations run on).
   std::size_t workers = 4;
   /// Bound on distinct computations in flight; further leaders are shed
-  /// with RESOURCE_EXHAUSTED.  Clamped to at least 1.
+  /// with RESOURCE_EXHAUSTED.  Cache hits never take a slot.  Clamped to
+  /// at least 1.
   std::size_t max_inflight = 8;
   /// Bandwidth quantization step (Mbps).
   double bandwidth_bucket_mbps = 0.25;
@@ -213,13 +219,19 @@ class Server {
   /// The server's live metrics snapshot for a kStats frame.
   [[nodiscard]] StatsReply build_stats_reply();
   /// The Planner run (graph -> curve -> plan) behind every leader.
-  [[nodiscard]] PlanOutcome compute_plan(const PlanRequest& request,
-                                         double bucket_mbps);
+  [[nodiscard]] PlanOutcome compute_plan(const core::PlanCacheKey& key);
   [[nodiscard]] PlanReply to_reply(const PlanOutcome& outcome) const;
   /// Degraded-mode reply for an open breaker: nearest-bucket stale plan
   /// (kOkStale) or kUnavailable when the cache has no candidate.
   [[nodiscard]] PlanReply stale_reply(const PlanRequest& request,
-                                      double bucket_mbps);
+                                      const core::PlanCacheKey& key);
+  /// kDeadlineExceeded reply, counted; `where` names the check that fired.
+  [[nodiscard]] PlanReply deadline_reply(const PlanRequest& request,
+                                         const char* where);
+  /// The tail every planned reply (cache hit or pool result) goes through:
+  /// deadline check 3 and the breaker's record of the outcome.
+  [[nodiscard]] PlanReply finish_reply(const PlanRequest& request,
+                                       double arrival_ms, PlanReply reply);
   /// Write the snapshot if configured; never throws (failures are logged).
   void save_snapshot_if_configured();
 
@@ -250,11 +262,12 @@ class Server {
   std::unordered_map<std::string, std::shared_ptr<const dnn::Graph>> graphs_
       JPS_GUARDED_BY(graphs_mutex_);
 
-  // Coalescing: key -> the in-flight computation's shared future.  Size of
-  // this map is the backpressure bound.
+  // Coalescing: cache key -> the in-flight computation's shared future.
+  // Only cache misses enter it; its size is the backpressure bound.
   mutable util::Mutex inflight_mutex_{"serve.server.inflight"};
-  std::unordered_map<std::string, std::shared_future<PlanOutcome>> inflight_
-      JPS_GUARDED_BY(inflight_mutex_);
+  std::unordered_map<core::PlanCacheKey, std::shared_future<PlanOutcome>,
+                     core::PlanCache::PlanKeyHash>
+      inflight_ JPS_GUARDED_BY(inflight_mutex_);
 
   // Active connections, so stop() can half-close them.  Slots are nulled on
   // connection exit and reused.

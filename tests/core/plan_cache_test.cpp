@@ -157,6 +157,28 @@ TEST(PlanCache, ConcurrentMixedAccessIsSafeAndCoherent) {
   EXPECT_GE(stats.curve_misses, 4u);  // racing builders may double-build
 }
 
+TEST(PlanCache, FindPlanCountsAHitOnlyOnSuccess) {
+  PlanCache cache;
+  const PlanCacheKey key{"alexnet", "pi4b", 5.85, Strategy::kJPS, 4};
+  const partition::ProfileCurve curve = build_alexnet_curve(5.85);
+
+  // A miss finds nothing and counts nothing.
+  EXPECT_EQ(cache.find_plan(key), nullptr);
+  EXPECT_EQ(cache.stats().plan_hits + cache.stats().plan_misses, 0u);
+
+  // The plan() that follows counts that lookup once, as its miss.
+  const auto built = cache.plan(
+      key, [&] { return Planner(curve).plan(Strategy::kJPS, 4); });
+  EXPECT_EQ(cache.stats().plan_misses, 1u);
+  EXPECT_EQ(cache.stats().plan_hits, 0u);
+
+  // A hit returns the cached object and counts once.
+  const auto found = cache.find_plan(key);
+  EXPECT_EQ(found.get(), built.get());
+  EXPECT_EQ(cache.stats().plan_hits, 1u);
+  EXPECT_EQ(cache.stats().plan_misses, 1u);
+}
+
 TEST(PlanCache, GlobalIsASingleton) {
   EXPECT_EQ(&PlanCache::global(), &PlanCache::global());
 }
@@ -194,6 +216,27 @@ TEST(ShardedPlanCache, DelegatesAndAggregatesStats) {
   EXPECT_EQ(stats.plan_hits, 5u);
   EXPECT_EQ(cache.curve_count(), 5u);
   EXPECT_EQ(cache.plan_count(), 5u);
+}
+
+TEST(ShardedPlanCache, FindPlanLookupsAddUpAcrossShards) {
+  ShardedPlanCache cache(4);
+  std::uint64_t lookups = 0;
+  for (const double mbps : {1.0, 2.0, 3.0, 4.0, 5.0}) {
+    const PlanCacheKey key{"alexnet", "pi4b", mbps, Strategy::kJPS, 4};
+    const partition::ProfileCurve curve = build_alexnet_curve(mbps);
+    // Lookup-then-build, the serving pattern: one lookup, counted once.
+    if (cache.find_plan(key) == nullptr) {
+      (void)cache.plan(
+          key, [&] { return Planner(curve).plan(Strategy::kJPS, 4); });
+    }
+    ++lookups;
+    ASSERT_NE(cache.find_plan(key), nullptr);
+    ++lookups;
+  }
+  const PlanCache::Stats stats = cache.stats();
+  EXPECT_EQ(stats.plan_hits + stats.plan_misses, lookups);
+  EXPECT_EQ(stats.plan_misses, 5u);
+  EXPECT_EQ(stats.plan_hits, 5u);
 }
 
 TEST(ShardedPlanCache, RoutingIsDeterministicAndInRange) {

@@ -11,13 +11,16 @@
 #include <cstdio>
 #include <fstream>
 #include <limits>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "core/planner.h"
 #include "models/registry.h"
 #include "net/channel.h"
+#include "obs/obs.h"
 #include "partition/profile_curve.h"
 #include "profile/latency_model.h"
 #include "serve/client.h"
@@ -46,6 +49,16 @@ core::ExecutionPlan direct_plan(const ServerOptions& options,
   const auto curve =
       partition::ProfileCurve::build(graph, mobile, net::Channel(bucket));
   return core::Planner(curve).plan(request.strategy, request.n_jobs);
+}
+
+// A plan's (cut -> count) mix in the reply's ascending order.
+std::vector<CutMix> mix_of(const core::ExecutionPlan& plan) {
+  std::map<std::uint32_t, std::uint32_t> counts;
+  for (const core::JobAssignment& job : plan.jobs)
+    ++counts[static_cast<std::uint32_t>(job.cut_index)];
+  std::vector<CutMix> mix;
+  for (const auto& [cut, count] : counts) mix.push_back({cut, count});
+  return mix;
 }
 
 TEST(Quantize, SnapsToNearestBucketAndNeverZero) {
@@ -102,6 +115,10 @@ TEST(Server, InvalidArgumentsGetStatusesNotThrows) {
               "alexnet", std::numeric_limits<double>::infinity(), 4))
           .status,
       Status::kInvalidArgument);
+  // Finite, but its bucket overflows to +inf: refused before the cache key
+  // (which requires a finite bandwidth) is ever built.
+  EXPECT_EQ(server.handle_plan(request_for("alexnet", 1e308, 4)).status,
+            Status::kInvalidArgument);
   EXPECT_EQ(server.handle_plan(request_for("alexnet", 10.0, 0)).status,
             Status::kInvalidArgument);
   EXPECT_EQ(server
@@ -184,11 +201,151 @@ TEST(Server, IdenticalConcurrentRequestsCoalesce) {
 TEST(Server, StopDrainsAndRefusesNewWork) {
   Server server{ServerOptions{}};
   EXPECT_TRUE(server.handle_plan(request_for("alexnet", 10, 2)).ok());
+  ASSERT_TRUE(server.handle_plan(request_for("alexnet", 10, 2)).cache_hit);
   server.stop();
   EXPECT_TRUE(server.stopped());
+  // Refused even though the key is cached: the drain check comes first.
   const PlanReply reply = server.handle_plan(request_for("alexnet", 10, 2));
   EXPECT_EQ(reply.status, Status::kUnavailable);
+  EXPECT_EQ(server.stats().cache_hits, 1u);
   server.stop();  // idempotent
+}
+
+// ---- cache hits answered on the connection thread -----------------------
+
+TEST(Server, CachedKeyIsAnsweredInlineWithoutAPoolTask) {
+  ServerOptions options;
+  options.workers = 2;
+  Server server(options);
+  const PlanRequest request = request_for("alexnet", 7.3, 6);
+
+  // The first request computes on the pool.  The worker bumps
+  // thread_pool.tasks just after the task's future is ready, so wait for
+  // that before taking the baseline.
+  const obs::Counter& pool_tasks = obs::counter("thread_pool.tasks");
+  const std::uint64_t before_miss = pool_tasks.value();
+  const PlanReply miss = server.handle_plan(request);
+  ASSERT_TRUE(miss.ok()) << miss.message;
+  EXPECT_FALSE(miss.cache_hit);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (pool_tasks.value() == before_miss &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+  ASSERT_GT(pool_tasks.value(), before_miss);
+
+  const std::uint64_t before_hit = pool_tasks.value();
+  const PlanReply hit = server.handle_plan(request);
+  EXPECT_EQ(pool_tasks.value() - before_hit, 0u);  // no pool hop
+  ASSERT_TRUE(hit.ok()) << hit.message;
+  EXPECT_TRUE(hit.cache_hit);
+  EXPECT_FALSE(hit.coalesced);
+
+  const core::ExecutionPlan expected = direct_plan(options, request);
+  EXPECT_EQ(hit.makespan_ms, expected.predicted_makespan);  // exact
+  EXPECT_EQ(hit.mix, mix_of(expected));
+  EXPECT_DOUBLE_EQ(hit.bandwidth_bucket_mbps, 7.25);
+
+  const ServerStats stats = server.stats();
+  EXPECT_EQ(stats.cache_hits, 1u);
+  EXPECT_EQ(stats.plans_computed, 1u);
+  EXPECT_EQ(server.inflight(), 0u);
+}
+
+TEST(Server, CachedKeyIsAnsweredWhileTheInflightBoundIsFull) {
+  ServerOptions options;
+  options.workers = 2;
+  options.max_inflight = 1;
+  options.debug_plan_delay_ms = 200.0;  // hold each leader's computation open
+  Server server(options);
+  const PlanRequest cached = request_for("alexnet", 10, 2);
+  ASSERT_TRUE(server.handle_plan(cached).ok());  // prime the cache
+
+  std::thread leader(
+      [&] { EXPECT_TRUE(server.handle_plan(request_for("alexnet", 5, 2)).ok()); });
+  while (server.inflight() == 0) std::this_thread::yield();
+
+  // The only inflight slot is taken, yet a cached key still answers: hits
+  // never take a slot.  A key that needs a computation is shed.
+  const PlanReply hit = server.handle_plan(cached);
+  EXPECT_TRUE(hit.ok()) << hit.message;
+  EXPECT_TRUE(hit.cache_hit);
+  const PlanReply shed = server.handle_plan(request_for("alexnet", 50, 2));
+  EXPECT_EQ(shed.status, Status::kResourceExhausted);
+  leader.join();
+
+  const ServerStats stats = server.stats();
+  EXPECT_EQ(stats.shed_overload, 1u);
+  EXPECT_EQ(stats.cache_hits, 1u);
+}
+
+TEST(Server, OpenBreakerServesStaleEvenForACachedKey) {
+  ServerOptions options;
+  options.debug_plan_delay_ms = 10.0;  // planning always outlives 2 ms
+  options.breaker.window = 8;
+  options.breaker.min_samples = 4;
+  options.breaker.failure_ratio = 0.5;
+  options.breaker.cooldown_ms = 60'000.0;  // stays open for the whole test
+  Server server(options);
+
+  // Another tenant caches the key, so the victim's window holds failures
+  // only.
+  PlanRequest cached = request_for("alexnet", 10.0, 4);
+  cached.tenant = "healthy";
+  const PlanReply fresh = server.handle_plan(cached);
+  ASSERT_TRUE(fresh.ok());
+  cached.tenant = "victim";
+
+  // Trip the victim's breaker with planner-too-slow failures on fresh
+  // buckets.
+  for (int i = 0; i < 4; ++i) {
+    PlanRequest doomed = request_for("alexnet", 20.0 + 10.0 * i, 4);
+    doomed.tenant = "victim";
+    doomed.deadline_ms = 2.0;
+    ASSERT_EQ(server.handle_plan(doomed).status, Status::kDeadlineExceeded);
+  }
+  const std::uint64_t hits_before = server.stats().cache_hits;
+
+  // The exact key is cached, but the breaker gate comes before the cache
+  // lookup: the answer is the degraded-mode reply, labeled stale.
+  const PlanReply reply = server.handle_plan(cached);
+  EXPECT_EQ(reply.status, Status::kOkStale);
+  EXPECT_TRUE(reply.stale);
+  EXPECT_DOUBLE_EQ(reply.bandwidth_bucket_mbps, 10.0);
+  EXPECT_EQ(reply.makespan_ms, fresh.makespan_ms);
+  EXPECT_EQ(server.stats().cache_hits, hits_before);
+  EXPECT_EQ(server.stats().stale_served, 1u);
+}
+
+TEST(Server, RequestsSplitIntoHitsComputationsAndJoins) {
+  ServerOptions options;
+  options.workers = 2;
+  options.debug_plan_delay_ms = 100.0;
+  Server server(options);
+  const PlanRequest a = request_for("alexnet", 5, 2);
+  const PlanRequest b = request_for("nin", 5, 2);
+
+  // Miss + coalesced join on key a.
+  std::thread leader([&] { EXPECT_TRUE(server.handle_plan(a).ok()); });
+  while (server.inflight() == 0) std::this_thread::yield();
+  const PlanReply joined = server.handle_plan(a);
+  leader.join();
+  EXPECT_TRUE(joined.coalesced);
+
+  // Two hits on a, a miss on b, a hit on b.
+  EXPECT_TRUE(server.handle_plan(a).cache_hit);
+  EXPECT_TRUE(server.handle_plan(a).cache_hit);
+  EXPECT_FALSE(server.handle_plan(b).cache_hit);
+  EXPECT_TRUE(server.handle_plan(b).cache_hit);
+
+  const ServerStats stats = server.stats();
+  EXPECT_EQ(stats.requests, 6u);
+  EXPECT_EQ(stats.cache_hits, 3u);
+  EXPECT_EQ(stats.plans_computed, 2u);
+  EXPECT_EQ(stats.coalesce_hits, 1u);
+  EXPECT_EQ(stats.requests,
+            stats.cache_hits + stats.plans_computed + stats.coalesce_hits);
 }
 
 // ---- deadlines (tentpole: deadline propagation) -------------------------
@@ -445,7 +602,9 @@ TEST(Connection, UnknownModelAndBadBandwidthAreRepliesNotDisconnects) {
                                   std::numeric_limits<double>::quiet_NaN(), 4))
                 .status,
             Status::kInvalidArgument);
-  // The connection survived both errors.
+  EXPECT_EQ(client.plan(request_for("alexnet", 1e308, 4)).status,
+            Status::kInvalidArgument);
+  // The connection survived every error.
   EXPECT_TRUE(client.plan(request_for("alexnet", 10, 4)).ok());
   client.close();
   conn.join();

@@ -1,7 +1,8 @@
 // The acceptance stress: 16 concurrent clients, mixed tenants, repeated
 // (model, bandwidth-bucket) pairs, full wire protocol over in-process
 // streams.  Demonstrates (under TSan in CI):
-//   * coalescing engages (coalesce-hit counter > 0),
+//   * coalescing engages (coalesce-hit counter > 0) and the cache answers
+//     repeats (cache-hit counter > 0),
 //   * every OK reply is bit-identical to a direct Planner::plan run,
 //   * overload sheds RESOURCE_EXHAUSTED instead of deadlocking,
 //   * the server drains cleanly afterwards.
@@ -39,6 +40,10 @@ TEST(ServeStress, SixteenConcurrentClientsMixedTenants) {
   options.workers = 4;
   options.max_inflight = 6;  // small enough that bursts shed
   options.bandwidth_bucket_mbps = 0.25;
+  // Cache hits answer inline, so only a key's first-miss window can
+  // coalesce; holding each leader open 2 ms keeps that window wide enough
+  // for concurrent duplicates to join it on every run.
+  options.debug_plan_delay_ms = 2.0;
   Server server(options);
 
   // Request mix: 2 models x 2 bandwidth buckets x 2 job counts = 8 distinct
@@ -137,8 +142,10 @@ TEST(ServeStress, SixteenConcurrentClientsMixedTenants) {
             kClients * kRequestsPerClient);
   EXPECT_EQ(stats.requests,
             static_cast<std::uint64_t>(kClients * kRequestsPerClient));
-  // 16 clients hammering 8 keys: coalescing must have engaged.
+  // 16 clients hammering 8 keys: coalescing must have engaged, and repeats
+  // after the first computation must have been answered from the cache.
   EXPECT_GT(stats.coalesce_hits, 0u);
+  EXPECT_GT(stats.cache_hits, 0u);
   // Shedding is load-dependent (may be 0 on a fast machine) but must be
   // consistent with what clients saw.
   EXPECT_EQ(stats.shed_overload,
