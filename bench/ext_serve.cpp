@@ -68,7 +68,6 @@ int main() {
   reporter.note("requests_per_client", kRequests);
 
   serve::ServerOptions options;
-  options.workers = 4;
   options.max_inflight = static_cast<std::size_t>(kClients) + 4;
   serve::Server server(options);
 

@@ -92,7 +92,6 @@ void snapshot_seeds(const fs::path& dir) {
   // A real populated cache: run two plans through a Server and encode its
   // cache — the exact bytes save_snapshot_if_configured would write.
   ServerOptions options;
-  options.workers = 2;
   Server server(options);
   for (const char* model : {"alexnet", "nin"}) {
     PlanRequest request;

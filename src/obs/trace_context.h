@@ -6,8 +6,8 @@
 // trace/span/parent ids and installs itself as the current context for the
 // duration, so nested spans form a causal tree without any explicit
 // plumbing.  util::ThreadPool captures the submitter's context and restores
-// it inside the worker, so a request that hops threads (admission on a
-// connection thread, plan compute on a pool worker) still yields one tree.
+// it inside the worker, so work that hops threads (a parallel_for issued
+// under a traced span) still yields one tree.
 //
 // Across processes the context rides wire protocol v3 as three u64 fields
 // on PlanRequest (trace_hi | trace_lo | parent span id); the server adopts

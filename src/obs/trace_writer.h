@@ -5,8 +5,8 @@
 // Perfetto (https://ui.perfetto.dev — "Open trace file").  Only the pieces
 // this repo needs are implemented: complete events ("ph":"X"), the
 // process/thread-name metadata events that label tracks, and flow events
-// ("ph":"s"/"f") that draw arrows between spans of one trace when a request
-// hops threads (connection handler -> pool worker).
+// ("ph":"s"/"f") that draw arrows between spans of one trace when it hops
+// threads (a span's pool task running on a worker).
 //
 // Convention used throughout the repo:
 //   pid 0 — instrumentation spans (one tid per recording thread)

@@ -88,8 +88,10 @@ class RequestTracer {
 
   ~RequestTracer() {
     if (!active_) return;
-    root_.reset();  // close the root span so it reaches the recorder
+    // The trace ends where its root span ends, before ~Span records the root
+    // into the recorder under its lock: that is not the request's time.
     const double dur_ms = obs::Registry::global().now_ms() - start_ms_;
+    root_.reset();
     obs::FlightRecorder& recorder = obs::FlightRecorder::global();
     recorder.record_exemplar("serve.plan_ms",
                              plan_ms_ > 0.0 ? plan_ms_ : dur_ms, context_);
@@ -117,7 +119,6 @@ double quantize_bandwidth(double bandwidth_mbps, double step_mbps) {
 
 Server::Server(ServerOptions options)
     : options_(std::move(options)),
-      pool_(std::max<std::size_t>(1, options_.workers)),
       admission_(options_.tenant_rate_per_sec, options_.tenant_burst),
       cache_(std::max<std::size_t>(1, options_.cache_shards)),
       breaker_(options_.breaker) {
@@ -165,8 +166,7 @@ Server::Server(ServerOptions options)
 Server::~Server() { stop(); }
 
 Server::PlanOutcome Server::compute_plan(const core::PlanCacheKey& key) {
-  // Runs on a pool worker; ThreadPool::submit carried the leader's
-  // TraceContext here, so these spans join the request's tree.
+  // Runs on the leader's own thread, under its request's trace, no lock held.
   obs::Span compute_span("serve.plan_compute", "serve");
   compute_span.arg("model", key.model);
 
@@ -204,7 +204,7 @@ Server::PlanOutcome Server::compute_plan(const core::PlanCacheKey& key) {
   bool built = false;
   {
     // A second look: another leader may have inserted this key since the
-    // connection thread's fast-path lookup missed.
+    // fast-path lookup missed.
     obs::Span cache_span("serve.cache_lookup", "serve");
     outcome.plan = cache_.plan(key, [&] {
       built = true;
@@ -393,9 +393,8 @@ PlanReply Server::process_plan(const PlanRequest& request) {
 
   admission_span.reset();
 
-  // Fast path: a ready plan is answered here on the connection thread.  It
-  // takes no inflight slot and never touches the pool; only misses go on
-  // to coalescing and a Planner run.
+  // Fast path: a ready plan is answered here.  It takes no inflight slot;
+  // only misses go on to coalescing and a Planner run.
   std::shared_ptr<const core::ExecutionPlan> cached;
   {
     obs::Span cache_span("serve.cache_lookup", "serve");
@@ -409,6 +408,7 @@ PlanReply Server::process_plan(const PlanRequest& request) {
                         to_reply({std::move(cached), true, bucket}));
   }
 
+  std::promise<PlanOutcome> promise;  // fulfilled only by a leader
   std::shared_future<PlanOutcome> future;
   bool leader = false;
   {
@@ -417,6 +417,12 @@ PlanReply Server::process_plan(const PlanRequest& request) {
     if (it != inflight_.end()) {
       future = it->second;
     } else {
+      // Checked under inflight_mutex_: stop() waits for every leader
+      // admitted here, and none is admitted once stopping_ is set.
+      if (stopping_.load(std::memory_order_acquire)) {
+        if (probe) breaker_.cancel_probe(request.tenant);
+        return error_reply(Status::kUnavailable, "server is draining");
+      }
       if (inflight_.size() >= options_.max_inflight) {
         shed_overload_.fetch_add(1, std::memory_order_relaxed);
         shed_overload.add();
@@ -428,35 +434,34 @@ PlanReply Server::process_plan(const PlanRequest& request) {
                                std::to_string(inflight_.size()) +
                                " computations in flight)");
       }
-      try {
-        future = pool_.submit([this, key] { return compute_plan(key); })
-                     .share();
-      } catch (const std::exception&) {
-        // Pool already shut down: we lost the race with stop().
-        if (probe) breaker_.cancel_probe(request.tenant);
-        return error_reply(Status::kUnavailable, "server is draining");
-      }
+      future = promise.get_future().share();
       inflight_.emplace(key, future);
       leader = true;
       inflight_gauge.set(static_cast<double>(inflight_.size()));
     }
   }
 
-  if (!leader) {
+  if (leader) {
+    // Plan right here, then fulfil every follower's future (with the plan
+    // or the exception, so none is stranded) before giving up the slot.
+    try {
+      promise.set_value(compute_plan(key));
+    } catch (...) {
+      promise.set_exception(std::current_exception());
+    }
+    util::MutexLock lock(inflight_mutex_);
+    inflight_.erase(key);
+    inflight_gauge.set(static_cast<double>(inflight_.size()));
+    if (inflight_.empty()) inflight_drained_.notify_all();
+  } else {
     coalesce_hits_.fetch_add(1, std::memory_order_relaxed);
     coalesce_hits.add();
+    obs::Span wait_span("serve.coalesce_wait", "serve");
+    future.wait();
   }
 
   PlanReply reply;
   try {
-    {
-      // Leaders wait for their own pool submission; followers block on the
-      // leader's future ("coalesce wait").  Distinct span names make the two
-      // shapes distinguishable in a trace without reading args.
-      obs::Span wait_span(leader ? "serve.plan_wait" : "serve.coalesce_wait",
-                          "serve");
-      future.wait();
-    }
     const PlanOutcome& outcome = future.get();
     reply = to_reply(outcome);
     if (outcome.cache_hit && leader) {
@@ -470,12 +475,6 @@ PlanReply Server::process_plan(const PlanRequest& request) {
     reply = error_reply(Status::kInternal, e.what());
   }
   reply.coalesced = !leader;
-
-  if (leader) {
-    util::MutexLock lock(inflight_mutex_);
-    inflight_.erase(key);
-    inflight_gauge.set(static_cast<double>(inflight_.size()));
-  }
   return finish_reply(request, arrival_ms, std::move(reply));
 }
 
@@ -632,12 +631,8 @@ void Server::save_snapshot_if_configured() {
 
 void Server::stop() {
   // Refuse new work first (idempotent), then serialize the drain itself
-  // under stop_mutex_: the previous exchange-and-return-early scheme let a
-  // concurrent stop() return after only pool_.shutdown(), BEFORE the winner
-  // had half-closed connections, joined the snapshot thread, and saved the
-  // final snapshot — so its caller could destroy the Server out from under
-  // the still-draining winner.  Every caller now owns the full
-  // postcondition when stop() returns (ServerStopRace regression test).
+  // under stop_mutex_, so every concurrent caller, not just the first, owns
+  // the full postcondition when stop() returns (ServerStopRace test).
   stopping_.store(true, std::memory_order_release);
   util::MutexLock stop_lock(stop_mutex_);
   if (stop_complete_) return;
@@ -652,10 +647,14 @@ void Server::stop() {
     for (ByteStream* stream : connections_)
       if (stream != nullptr) stream->shutdown_read();
   }
-  pool_.shutdown();
+  {
+    // No leader is admitted any more, so the map only shrinks.
+    util::MutexLock lock(inflight_mutex_);
+    while (!inflight_.empty()) inflight_drained_.wait(lock);
+  }
   if (snapshot_thread_.joinable()) snapshot_thread_.join();
-  // Final save AFTER the pool has drained: every admitted computation's plan
-  // is in the cache, so the snapshot a restart warm-starts from is complete.
+  // Final save AFTER the leaders have drained: it holds every admitted
+  // computation's plan, so a restart warm-starts from a complete cache.
   save_snapshot_if_configured();
   stop_complete_ = true;
 }

@@ -12,11 +12,12 @@
 //   * Plan caching — completed answers land in a ShardedPlanCache.  Once
 //     a request has passed every gate (drain, validation, deadlines,
 //     tenant admission, breaker), a cached key is answered right on the
-//     connection thread: a lock-striped lookup, no pool hop.
+//     connection thread: a lock-striped lookup, no inflight slot.
 //   * Request coalescing — concurrent cache MISSES for the same (model,
 //     strategy, n_jobs, bucket) share ONE Planner run via a shared_future
-//     map keyed by the cache key: the first arrival (the leader) computes
-//     on the pool, everyone else joins.
+//     map keyed by the cache key: the first arrival (the leader) plans on
+//     its own thread, no lock held, and fulfils that future for everyone
+//     else.
 //   * Admission control — a token bucket per tenant id sheds chatty tenants
 //     with RESOURCE_EXHAUSTED before any planning work is queued.
 //   * Backpressure — at most `max_inflight` distinct computations may be in
@@ -47,20 +48,20 @@
 // Observability (PR 10 — see docs/OBSERVABILITY.md "Request tracing"):
 //   * Tracing — every request runs under an obs::TraceContext (adopted from
 //     a v3 frame's trace fields, or minted fresh), so its admission /
-//     cache-lookup / plan-wait or coalesce-wait / plan-compute / encode
-//     spans form one causal tree across the connection thread and the pool
-//     worker.  A cache hit's tree stays on the connection thread.
+//     cache-lookup / plan-compute or coalesce-wait / encode spans form one
+//     causal tree.  Every request's tree stays on its connection thread: a
+//     leader plans there, a follower waits there.
 //   * Flight recorder — completed traces are retained tail-based in the
 //     process-wide obs::FlightRecorder (errors + latency outliers always,
 //     the rest sampled) until a kTraceDump drains them.
 //   * Introspection — kStats answers with a live MetricsSnapshot as JSON;
 //     kTraceDump drains recorded traces; both are served inline on the
-//     connection thread without touching the planner pool.
+//     connection thread without touching the planner.
 //
-// Drain: stop() flips the server to UNAVAILABLE, half-closes the read side
-// of every active connection (loops exit at the next frame boundary while
-// in-flight replies still flow out), then ThreadPool::shutdown() guarantees
-// every admitted computation has completed before stop() returns.
+// Drain: stop() flips the server to UNAVAILABLE (no new leader), half-closes
+// the read side of every active connection (loops exit at the next frame
+// boundary while in-flight replies still flow out), then waits until no
+// leader is pending: every admitted plan is cached before stop() returns.
 //
 // Replies are bit-identical to a direct
 //   Planner(ProfileCurve::build(models::build(m), LatencyModel(device),
@@ -85,7 +86,6 @@
 #include "serve/protocol.h"
 #include "serve/transport.h"
 #include "util/mutex.h"
-#include "util/thread_pool.h"
 
 namespace jps::serve {
 
@@ -97,8 +97,6 @@ namespace jps::serve {
                                         double step_mbps);
 
 struct ServerOptions {
-  /// Planner worker threads (the pool all plan computations run on).
-  std::size_t workers = 4;
   /// Bound on distinct computations in flight; further leaders are shed
   /// with RESOURCE_EXHAUSTED.  Cache hits never take a slot.  Clamped to
   /// at least 1.
@@ -190,8 +188,8 @@ class Server {
   void handle_connection(ByteStream& stream);
 
   /// Drain: refuse new work (UNAVAILABLE), half-close active connections,
-  /// and join the worker pool.  Every admitted computation completes before
-  /// stop() returns.  Idempotent.
+  /// and wait for every pending leader.  Every admitted computation
+  /// completes before stop() returns.  Idempotent.
   void stop();
 
   [[nodiscard]] bool stopped() const {
@@ -228,7 +226,7 @@ class Server {
   /// kDeadlineExceeded reply, counted; `where` names the check that fired.
   [[nodiscard]] PlanReply deadline_reply(const PlanRequest& request,
                                          const char* where);
-  /// The tail every planned reply (cache hit or pool result) goes through:
+  /// The tail every planned reply (cache hit or computed plan) goes through:
   /// deadline check 3 and the breaker's record of the outcome.
   [[nodiscard]] PlanReply finish_reply(const PlanRequest& request,
                                        double arrival_ms, PlanReply reply);
@@ -236,7 +234,6 @@ class Server {
   void save_snapshot_if_configured();
 
   ServerOptions options_;
-  util::ThreadPool pool_;
   TenantAdmission admission_;
   core::ShardedPlanCache cache_;
   CircuitBreaker breaker_;
@@ -262,12 +259,14 @@ class Server {
   std::unordered_map<std::string, std::shared_ptr<const dnn::Graph>> graphs_
       JPS_GUARDED_BY(graphs_mutex_);
 
-  // Coalescing: cache key -> the in-flight computation's shared future.
-  // Only cache misses enter it; its size is the backpressure bound.
+  // Coalescing: cache key -> the pending leader's shared future.  Only cache
+  // misses enter it; its size is the backpressure bound.  stop() waits on
+  // inflight_drained_ until it is empty.
   mutable util::Mutex inflight_mutex_{"serve.server.inflight"};
   std::unordered_map<core::PlanCacheKey, std::shared_future<PlanOutcome>,
                      core::PlanCache::PlanKeyHash>
       inflight_ JPS_GUARDED_BY(inflight_mutex_);
+  util::CondVar inflight_drained_;
 
   // Active connections, so stop() can half-close them.  Slots are nulled on
   // connection exit and reused.

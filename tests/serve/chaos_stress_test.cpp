@@ -41,7 +41,6 @@ fault::FaultSpec lossless_chaos() {
 
 TEST(ChaosStress, SixteenClientsThroughLosslessChaos) {
   ServerOptions options;
-  options.workers = 4;
   options.max_inflight = 6;
   Server server(options);
 
@@ -111,7 +110,6 @@ TEST(ChaosStress, SixteenClientsThroughLosslessChaos) {
 
 TEST(ChaosStress, DrainMidFaultBalancesTheBooks) {
   ServerOptions options;
-  options.workers = 2;
   options.debug_plan_delay_ms = 2.0;
   Server server(options);
 

@@ -32,7 +32,6 @@ PlanRequest request_for(const std::string& model, double mbps) {
 
 ServerOptions traced_options() {
   ServerOptions options;
-  options.workers = 2;
   options.flight_recorder_sample_every = 1;  // retain every request
   return options;
 }
@@ -108,7 +107,8 @@ TEST_F(IntrospectTest, TraceDumpYieldsValidSpanTrees) {
     }
     EXPECT_TRUE(saw_root);
   }
-  // At least the first (cache-miss) request crossed onto a pool worker.
+  // At least the first (cache-miss) request planned, on its connection
+  // thread.
   EXPECT_TRUE(saw_compute);
 
   // The recorder was drained: a second dump is empty.

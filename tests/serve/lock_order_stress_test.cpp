@@ -1,9 +1,10 @@
 // Lock-order checker false-positive gate: the full 16-client serve stress
 // runs with the checker in its strictest mode (kAbort, hook-captured) and
 // must produce ZERO diagnostics — the server's real acquisition orders
-// (stop -> snapshot/connections -> pipe, inflight -> breaker/pool,
-// plan-cache -> obs registry) are all consistent, and the checker must
-// agree under genuine concurrency, not just in the synthetic ABBA test.
+// (stop -> snapshot/connections/inflight, connections -> pipe,
+// inflight -> breaker, plan-cache -> obs registry) are all consistent, and
+// the checker must agree under genuine concurrency, not just in the
+// synthetic ABBA test.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -37,7 +38,6 @@ TEST(LockOrderStress, SixteenClientServeStressHasZeroFalsePositives) {
 
   {
     ServerOptions options;
-    options.workers = 4;
     options.max_inflight = 6;
     options.snapshot_path =
         ::testing::TempDir() + "/jps_lock_order_stress_snapshot.bin";

@@ -20,10 +20,12 @@
 #include "core/planner.h"
 #include "models/registry.h"
 #include "net/channel.h"
+#include "obs/flight_recorder.h"
 #include "obs/obs.h"
 #include "partition/profile_curve.h"
 #include "profile/latency_model.h"
 #include "serve/client.h"
+#include "serve/snapshot.h"
 
 namespace jps::serve {
 namespace {
@@ -72,7 +74,6 @@ TEST(Quantize, SnapsToNearestBucketAndNeverZero) {
 
 TEST(Server, ReplyIsBitIdenticalToDirectPlanner) {
   ServerOptions options;
-  options.workers = 2;
   Server server(options);
   const PlanRequest request = request_for("alexnet", 9.87, 7);
   const PlanReply reply = server.handle_plan(request);
@@ -159,7 +160,6 @@ TEST(Server, TenantRateLimitSheds) {
 
 TEST(Server, OverloadShedsWithResourceExhausted) {
   ServerOptions options;
-  options.workers = 2;
   options.max_inflight = 1;
   options.debug_plan_delay_ms = 200.0;  // hold the leader's computation open
   Server server(options);
@@ -181,7 +181,6 @@ TEST(Server, OverloadShedsWithResourceExhausted) {
 
 TEST(Server, IdenticalConcurrentRequestsCoalesce) {
   ServerOptions options;
-  options.workers = 2;
   options.debug_plan_delay_ms = 100.0;
   Server server(options);
 
@@ -196,6 +195,70 @@ TEST(Server, IdenticalConcurrentRequestsCoalesce) {
   EXPECT_TRUE(follower.coalesced);
   EXPECT_EQ(server.stats().coalesce_hits, 1u);
   EXPECT_EQ(server.stats().plans_computed, 1u);  // one Planner run for both
+}
+
+TEST(Server, FailingLeaderFailsItsFollowersToo) {
+  ServerOptions options;
+  options.debug_plan_delay_ms = 100.0;  // hold the leader open for a join
+  Server server(options);
+  const PlanRequest unknown = request_for("no-such-model", 5, 2);
+
+  PlanReply leader_reply;
+  std::thread leader([&] { leader_reply = server.handle_plan(unknown); });
+  while (server.inflight() == 0) std::this_thread::yield();
+  const PlanReply follower = server.handle_plan(unknown);
+  leader.join();
+
+  // The leader's exception reaches the follower through the shared future.
+  EXPECT_EQ(leader_reply.status, Status::kNotFound);
+  EXPECT_FALSE(leader_reply.coalesced);
+  EXPECT_EQ(follower.status, Status::kNotFound);
+  EXPECT_TRUE(follower.coalesced);
+  EXPECT_EQ(server.stats().coalesce_hits, 1u);
+  // The failed leader gave its slot back: the server is not wedged.
+  EXPECT_EQ(server.inflight(), 0u);
+  EXPECT_TRUE(server.handle_plan(request_for("alexnet", 5, 2)).ok());
+  server.stop();
+  EXPECT_TRUE(server.stopped());
+}
+
+TEST(Server, StopWaitsForAPendingLeader) {
+  const std::string path = ::testing::TempDir() + "/jps_server_stop_drain.bin";
+  std::remove(path.c_str());
+  ServerOptions options;
+  options.snapshot_path = path;
+  options.debug_plan_delay_ms = 100.0;  // the leader is mid-compute at stop()
+  Server server(options);
+  const PlanRequest request = request_for("alexnet", 6.0, 3);
+  const core::PlanCacheKey key(request.model, options.device.name,
+                               quantize_bandwidth(request.bandwidth_mbps,
+                                                  options.bandwidth_bucket_mbps),
+                               request.strategy, request.n_jobs);
+
+  PlanReply reply;
+  std::thread leader([&] { reply = server.handle_plan(request); });
+  while (server.inflight() == 0) std::this_thread::yield();
+  server.stop();
+
+  // stop() returned only after the leader's plan reached the cache ...
+  EXPECT_EQ(server.inflight(), 0u);
+  const std::vector<core::PlanCache::PlanEntry> cached =
+      server.cache().plan_entries();
+  ASSERT_EQ(cached.size(), 1u);
+  EXPECT_EQ(cached[0].first, key);
+  leader.join();
+  ASSERT_TRUE(reply.ok()) << reply.message;
+  EXPECT_EQ(cached[0].second->predicted_makespan, reply.makespan_ms);
+
+  // ... so the final snapshot holds it.
+  core::ShardedPlanCache restored(1);
+  const SnapshotLoadResult loaded = load_cache_snapshot(restored, path);
+  EXPECT_TRUE(loaded.ok);
+  EXPECT_EQ(loaded.entries, 1u);
+  const auto saved = restored.find_plan(key);
+  ASSERT_NE(saved, nullptr);
+  EXPECT_EQ(saved->predicted_makespan, reply.makespan_ms);
+  std::remove(path.c_str());
 }
 
 TEST(Server, StopDrainsAndRefusesNewWork) {
@@ -214,30 +277,40 @@ TEST(Server, StopDrainsAndRefusesNewWork) {
 // ---- cache hits answered on the connection thread -----------------------
 
 TEST(Server, CachedKeyIsAnsweredInlineWithoutAPoolTask) {
+  obs::FlightRecorder& recorder = obs::FlightRecorder::global();
+  recorder.reset();
   ServerOptions options;
-  options.workers = 2;
+  options.flight_recorder_sample_every = 1;  // retain the miss's trace
   Server server(options);
   const PlanRequest request = request_for("alexnet", 7.3, 6);
 
-  // The first request computes on the pool.  The worker bumps
-  // thread_pool.tasks just after the task's future is ready, so wait for
-  // that before taking the baseline.
+  // Neither a miss nor a hit hands work to a pool: the leader plans on the
+  // calling thread, and a hit is answered there.
   const obs::Counter& pool_tasks = obs::counter("thread_pool.tasks");
   const std::uint64_t before_miss = pool_tasks.value();
   const PlanReply miss = server.handle_plan(request);
+  EXPECT_EQ(pool_tasks.value() - before_miss, 0u);
   ASSERT_TRUE(miss.ok()) << miss.message;
   EXPECT_FALSE(miss.cache_hit);
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while (pool_tasks.value() == before_miss &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::yield();
+
+  // The miss's plan_compute span ran on its root span's thread, and there
+  // is no wait span: nothing was handed off.
+  const std::vector<obs::TraceRecord> traces = recorder.drain();
+  ASSERT_EQ(traces.size(), 1u);
+  const obs::SpanRecord* root = nullptr;
+  const obs::SpanRecord* compute = nullptr;
+  for (const obs::SpanRecord& span : traces[0].spans) {
+    if (span.name == "serve.request") root = &span;
+    if (span.name == "serve.plan_compute") compute = &span;
+    EXPECT_NE(span.name, "serve.plan_wait");
   }
-  ASSERT_GT(pool_tasks.value(), before_miss);
+  ASSERT_NE(root, nullptr);
+  ASSERT_NE(compute, nullptr);
+  EXPECT_EQ(compute->thread, root->thread);
 
   const std::uint64_t before_hit = pool_tasks.value();
   const PlanReply hit = server.handle_plan(request);
-  EXPECT_EQ(pool_tasks.value() - before_hit, 0u);  // no pool hop
+  EXPECT_EQ(pool_tasks.value() - before_hit, 0u);
   ASSERT_TRUE(hit.ok()) << hit.message;
   EXPECT_TRUE(hit.cache_hit);
   EXPECT_FALSE(hit.coalesced);
@@ -251,11 +324,11 @@ TEST(Server, CachedKeyIsAnsweredInlineWithoutAPoolTask) {
   EXPECT_EQ(stats.cache_hits, 1u);
   EXPECT_EQ(stats.plans_computed, 1u);
   EXPECT_EQ(server.inflight(), 0u);
+  recorder.reset();
 }
 
 TEST(Server, CachedKeyIsAnsweredWhileTheInflightBoundIsFull) {
   ServerOptions options;
-  options.workers = 2;
   options.max_inflight = 1;
   options.debug_plan_delay_ms = 200.0;  // hold each leader's computation open
   Server server(options);
@@ -320,7 +393,6 @@ TEST(Server, OpenBreakerServesStaleEvenForACachedKey) {
 
 TEST(Server, RequestsSplitIntoHitsComputationsAndJoins) {
   ServerOptions options;
-  options.workers = 2;
   options.debug_plan_delay_ms = 100.0;
   Server server(options);
   const PlanRequest a = request_for("alexnet", 5, 2);

@@ -30,7 +30,6 @@ TEST(ServerStopRace, EveryStopperSeesTheFullDrainPostcondition) {
     std::remove(path.c_str());
 
     ServerOptions options;
-    options.workers = 2;
     options.snapshot_path = path;
     // Holds the leader's computation open so stop() has real draining to
     // do — the window the losing stopper used to escape through.

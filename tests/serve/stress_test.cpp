@@ -37,7 +37,6 @@ struct Expected {
 
 TEST(ServeStress, SixteenConcurrentClientsMixedTenants) {
   ServerOptions options;
-  options.workers = 4;
   options.max_inflight = 6;  // small enough that bursts shed
   options.bandwidth_bucket_mbps = 0.25;
   // Cache hits answer inline, so only a key's first-miss window can
@@ -156,7 +155,6 @@ TEST(ServeStress, SixteenConcurrentClientsMixedTenants) {
 
 TEST(ServeStress, DrainUnderLoadNeverDeadlocks) {
   ServerOptions options;
-  options.workers = 2;
   options.debug_plan_delay_ms = 5.0;
   Server server(options);
 

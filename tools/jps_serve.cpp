@@ -1,7 +1,7 @@
 // jps_serve: the multi-tenant plan server daemon and its client commands.
 //
-//   jps_serve serve [--port N] [--workers N] [--max-inflight N]
-//                   [--bucket-mbps X] [--tenant-rate X] [--tenant-burst X]
+//   jps_serve serve [--port N] [--max-inflight N] [--bucket-mbps X]
+//                   [--tenant-rate X] [--tenant-burst X]
 //                   [--metrics-out FILE] [--metrics-format openmetrics|json]
 //       Run the daemon on 127.0.0.1:PORT (0 picks an ephemeral port, printed
 //       on stdout).  SIGINT/SIGTERM drains: stop accepting, finish admitted
@@ -83,7 +83,6 @@ void usage() {
       "\n"
       "serve flags:\n"
       "  --port N              listen port (default 7421; 0 = ephemeral)\n"
-      "  --workers N           planner threads (default 4)\n"
       "  --max-inflight N      distinct computations in flight before\n"
       "                        shedding RESOURCE_EXHAUSTED (default 8)\n"
       "  --bucket-mbps X       bandwidth quantization step (default 0.25)\n"
@@ -143,7 +142,6 @@ core::Strategy parse_strategy(const std::string& name) {
 
 serve::ServerOptions server_options(const tools::Args& args) {
   serve::ServerOptions options;
-  options.workers = static_cast<std::size_t>(args.get_int("workers", 4));
   options.max_inflight =
       static_cast<std::size_t>(args.get_int("max-inflight", 8));
   options.bandwidth_bucket_mbps = args.get_double("bucket-mbps", 0.25);
