@@ -5,8 +5,10 @@
 #include <cmath>
 #include <exception>
 #include <map>
+#include <system_error>
 #include <thread>
 #include <utility>
+#include <vector>
 
 #include "core/planner.h"
 #include "models/registry.h"
@@ -108,6 +110,92 @@ class RequestTracer {
   obs::TraceContext context_;
   std::optional<obs::TraceScope> scope_;
   std::optional<obs::Span> root_;
+};
+
+// Server::serve's connection threads, in a leader/followers arrangement.
+// Every idle thread blocks in listener.accept().  A thread that takes a
+// connection while no other thread waits there first starts one more, then
+// serves its socket and goes back to accept(), so the set grows to the peak
+// number of concurrent connections plus one and then stops growing.
+// mutex_ is a leaf: nothing else is locked under it.
+class ConnectionThreads {
+ public:
+  /// Starts the first acceptor; a std::system_error propagates.
+  ConnectionThreads(Server& server, Listener& listener)
+      : server_(server), listener_(listener) {
+    util::MutexLock lock(mutex_);
+    spawn_locked();
+  }
+
+  /// Joins every thread: each returns once accept() gives nullptr, so the
+  /// listener must be closed and every connection ending.
+  ~ConnectionThreads() {
+    std::vector<std::thread> threads;
+    {
+      util::MutexLock lock(mutex_);
+      threads.swap(threads_);
+    }
+    for (std::thread& t : threads) t.join();
+  }
+
+  ConnectionThreads(const ConnectionThreads&) = delete;
+  ConnectionThreads& operator=(const ConnectionThreads&) = delete;
+
+  /// Block until an acceptor has seen the listener close.  From then on no
+  /// thread is started, so the destructor joins the complete set.
+  void wait_closed() {
+    util::MutexLock lock(mutex_);
+    while (!closed_) closed_cv_.wait(lock);
+  }
+
+ private:
+  // The new thread counts as idle from here: it goes straight to accept().
+  void spawn_locked() JPS_REQUIRES(mutex_) {
+    threads_.emplace_back([this] { run(); });
+    ++idle_;
+  }
+
+  void run() {
+    while (true) {
+      std::unique_ptr<ByteStream> stream = listener_.accept();
+      std::string spawn_error;
+      {
+        util::MutexLock lock(mutex_);
+        --idle_;
+        if (!stream) {
+          closed_ = true;
+          closed_cv_.notify_all();
+          return;
+        }
+        if (idle_ == 0 && !closed_) {
+          try {
+            spawn_locked();
+          } catch (const std::system_error& e) {
+            spawn_error = e.what();
+          }
+        }
+      }
+      if (!spawn_error.empty()) {
+        // Serve this socket anyway; until a thread is back in accept(), new
+        // clients wait in the kernel's listen backlog.
+        util::log_line(util::LogLevel::kWarn,
+                       "serve: cannot start a connection thread",
+                       {{"error", spawn_error}});
+      }
+      server_.handle_connection(*stream);
+      util::MutexLock lock(mutex_);
+      ++idle_;
+    }
+  }
+
+  Server& server_;
+  Listener& listener_;
+  util::Mutex mutex_{"serve.server.connection_threads"};
+  util::CondVar closed_cv_;
+  // Threads in (or on their way back to) accept().
+  std::size_t idle_ JPS_GUARDED_BY(mutex_) = 0;
+  bool closed_ JPS_GUARDED_BY(mutex_) = false;
+  std::vector<std::thread> threads_ JPS_GUARDED_BY(mutex_);
 };
 
 }  // namespace
@@ -527,11 +615,14 @@ void Server::handle_connection(ByteStream& stream) {
       connections_.push_back(&stream);
     }
     connections_gauge.add(1.0);
+    // stop() sets stopping_ before it half-closes the registered streams
+    // under this lock, so a stream registered after that sees it here.
+    if (stopping_.load(std::memory_order_acquire)) stream.shutdown_read();
   }
   obs::Registry::global().set_thread_name("serve-conn-" +
                                           std::to_string(slot));
-  // stop() may half-close the stream at any point from here on; every exit
-  // path below must unregister the slot.
+  // The stream is half-closed by now or by stop() later; every exit path
+  // below must unregister the slot.
 
   while (true) {
     std::optional<std::string> payload;
@@ -612,6 +703,14 @@ void Server::handle_connection(ByteStream& stream) {
     connections_gauge.add(-1.0);
   }
   stream.close();
+}
+
+void Server::serve(Listener& listener) {
+  ConnectionThreads threads(*this, listener);
+  threads.wait_closed();
+  // Half-closes every connection, so each thread finishes its socket, finds
+  // the listener closed in accept(), and exits to be joined by ~threads.
+  stop();
 }
 
 void Server::save_snapshot_if_configured() {

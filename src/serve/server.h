@@ -27,9 +27,13 @@
 //
 // Transport: handle_connection() speaks the serve/protocol.h framing over
 // any ByteStream, so tests drive the full server through in-process pipes
-// and the jps_serve daemon runs the same loop over accepted sockets.  The
+// and serve() runs the same loop over a Listener's accepted sockets.  The
 // connection loop never lets an exception escape: malformed payloads get an
-// error reply, unframeable streams are closed.
+// error reply, unframeable streams are closed.  serve() runs connections on
+// reused threads (leader/followers): idle threads block in accept(), and a
+// thread that takes a connection while no other thread waits there starts
+// one more first, so the thread count stays at the peak number of
+// concurrent connections plus one and no thread is created per connection.
 //
 // Resilience (PR 8 — see docs/ROBUSTNESS.md "Serve-path resilience"):
 //   * Deadlines — a v2 request may carry a relative deadline_ms budget,
@@ -60,8 +64,10 @@
 //
 // Drain: stop() flips the server to UNAVAILABLE (no new leader), half-closes
 // the read side of every active connection (loops exit at the next frame
-// boundary while in-flight replies still flow out), then waits until no
-// leader is pending: every admitted plan is cached before stop() returns.
+// boundary while in-flight replies still flow out; a connection registered
+// after that is half-closed at registration), then waits until no leader is
+// pending: every admitted plan is cached before stop() returns.  serve()
+// runs stop() once its listener closes, then joins every connection thread.
 //
 // Replies are bit-identical to a direct
 //   Planner(ProfileCurve::build(models::build(m), LatencyModel(device),
@@ -183,9 +189,20 @@ class Server {
   /// Serve one connection on the calling thread until the peer closes (or
   /// stop() half-closes it).  Frame/decoding errors never escape: payloads
   /// that parse as no known request get an INVALID_ARGUMENT reply; streams
-  /// broken mid-frame are closed.  The daemon runs one thread per accepted
-  /// socket; tests call this with an in-process stream.
+  /// broken mid-frame are closed.  A stream that arrives once stop() has
+  /// begun is half-closed at once.  serve() runs this for each accepted
+  /// socket on a reused connection thread; tests also call it with an
+  /// in-process stream.
   void handle_connection(ByteStream& stream);
+
+  /// Serve `listener`'s connections until it closes, each on a reused
+  /// connection thread (leader/followers, see the header).  The calling
+  /// thread only waits; once accept() returns nullptr it runs stop(), joins
+  /// every connection thread, and returns.  Throws std::system_error only
+  /// when the first connection thread cannot be started; a later spawn
+  /// failure is logged, and the thread that hit it serves its connection
+  /// and goes back to accept() (the listen backlog holds new clients).
+  void serve(Listener& listener);
 
   /// Drain: refuse new work (UNAVAILABLE), half-close active connections,
   /// and wait for every pending leader.  Every admitted computation

@@ -243,7 +243,7 @@ std::unique_ptr<ByteStream> SocketListener::accept() {
 void SocketListener::close() {
   // shutdown() wakes a blocked accept(); the lock-free exchange plus both
   // syscalls are async-signal-safe, so the daemon's SIGINT handler may
-  // call this while the accept loop is blocked in another thread.
+  // call this while connection threads are blocked in accept().
   const int fd = fd_.exchange(-1, std::memory_order_acq_rel);
   if (fd >= 0) {
     ::shutdown(fd, SHUT_RDWR);

@@ -242,7 +242,8 @@ TEST(Framing, TruncatedLengthPrefixThrows) {
 
 TEST(Framing, TruncatedPayloadThrows) {
   StreamPair pair = make_in_process_pair();
-  pair.first->write("\x05\x00\x00\x00ab", 6);  // promises 5 bytes, sends 2
+  // Split literal: "\x00ab" would parse as one hex escape.
+  pair.first->write("\x05\x00\x00\x00" "ab", 6);  // promises 5 bytes, sends 2
   pair.first->close();
   EXPECT_THROW((void)read_frame(*pair.second), ProtocolError);
 }

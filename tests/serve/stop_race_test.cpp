@@ -14,10 +14,12 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <future>
 #include <string>
 #include <thread>
 
 #include "serve/server.h"
+#include "serve/transport.h"
 
 namespace jps::serve {
 namespace {
@@ -66,6 +68,28 @@ TEST(ServerStopRace, EveryStopperSeesTheFullDrainPostcondition) {
     server.stop();  // still idempotent after the race
   }
   std::remove(path.c_str());
+}
+
+// Regression: a connection that registers after stop() has half-closed the
+// registered ones must be half-closed at registration.  Before the fix its
+// loop blocked in read_frame until the peer hung up, so Server::serve could
+// never join its thread.  The wait is bounded, so the old code fails here
+// instead of hanging.
+TEST(ServerStopRace, ConnectionRegisteredAfterStopIsHalfClosed) {
+  Server server{ServerOptions{}};
+  server.stop();
+  StreamPair pair = make_in_process_pair();
+  std::promise<void> finished;
+  std::thread connection([&] {
+    server.handle_connection(*pair.second);
+    finished.set_value();
+  });
+  const bool returned = finished.get_future().wait_for(
+                            std::chrono::seconds(2)) == std::future_status::ready;
+  pair.first->close();  // the client hangs up: frees a loop that did not exit
+  connection.join();
+  EXPECT_TRUE(returned)
+      << "handle_connection kept reading after the drain had begun";
 }
 
 }  // namespace

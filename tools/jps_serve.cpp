@@ -4,8 +4,11 @@
 //                   [--tenant-rate X] [--tenant-burst X]
 //                   [--metrics-out FILE] [--metrics-format openmetrics|json]
 //       Run the daemon on 127.0.0.1:PORT (0 picks an ephemeral port, printed
-//       on stdout).  SIGINT/SIGTERM drains: stop accepting, finish admitted
-//       work, write metrics, exit 0.
+//       on stdout).  Server::serve answers each connection on a reused
+//       connection thread; the thread count follows the peak number of
+//       concurrent clients, not the number of connections.  SIGINT/SIGTERM
+//       drains: stop accepting, finish admitted work, join the connection
+//       threads, write metrics, exit 0.
 //
 //   jps_serve plan --model M [--bandwidth X] [--strategy S] [--jobs N]
 //                  [--tenant T] [--host H] [--port N]
@@ -185,7 +188,7 @@ void print_reply(const serve::PlanReply& reply) {
 
 // The daemon's listener, reachable from the signal handler.  Closing the
 // listener is async-signal-safe (shutdown(2)/close(2) only) and unblocks
-// the accept loop, which then drains the server.
+// Server::serve, which then drains the server.
 serve::SocketListener* g_listener = nullptr;
 
 extern "C" void handle_shutdown_signal(int) {
@@ -241,23 +244,16 @@ int cmd_serve(const tools::Args& args) {
     });
   }
 
-  std::vector<std::thread> connections;
-  while (auto stream = listener.accept()) {
-    connections.emplace_back(
-        [&server, s = std::shared_ptr<serve::ByteStream>(std::move(stream))] {
-          server.handle_connection(*s);
-        });
-  }
+  // Returns once a signal closed the listener and the server drained: live
+  // connections half-closed, admitted work finished, connection threads
+  // joined.
+  server.serve(listener);
 
-  // Listener closed (signal): drain — half-close live connections, finish
-  // admitted work, join connection threads.
   metrics_stop.store(true, std::memory_order_release);
   {
     util::MutexLock lock(metrics_mutex);
   }
   metrics_cv.notify_all();
-  server.stop();
-  for (std::thread& t : connections) t.join();
   if (metrics_thread.joinable()) metrics_thread.join();
   g_listener = nullptr;
 
