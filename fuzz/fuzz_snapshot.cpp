@@ -8,7 +8,8 @@
 //
 //   * rejected  => a non-empty error and an untouched (empty) cache
 //   * accepted  => re-encoding the populated cache and re-decoding it
-//                  yields the same entry count (round trip)
+//                  yields the same entry count and the same bytes again
+//                  (round trip to a fixed point)
 #include <cstdint>
 #include <string>
 
@@ -36,5 +37,6 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
       jps::serve::decode_cache_snapshot(reencoded, again);
   if (!second.ok) __builtin_trap();
   if (again.plan_count() != cache.plan_count()) __builtin_trap();
+  if (jps::serve::encode_cache_snapshot(again) != reencoded) __builtin_trap();
   return 0;
 }

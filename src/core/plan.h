@@ -1,6 +1,7 @@
 // Execution plans: the output of every planning strategy.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -30,6 +31,13 @@ enum class Strategy {
 /// Display name ("LO", "CO", "PO", "JPS", "JPS*", "JPS+", "BF", "ROB").
 [[nodiscard]] const char* strategy_name(Strategy s);
 
+/// LO, CO, PO, JPS, JPS* and JPS+: the strategies whose decision is an
+/// O(cuts) two-cut-type mix (Planner::plan_sweep, jps_serve).  BF and ROB
+/// are not.
+[[nodiscard]] inline bool servable(Strategy s) {
+  return s != Strategy::kBruteForce && s != Strategy::kRobust;
+}
+
 /// One job's slice of a plan.
 struct JobAssignment {
   int job_id = 0;
@@ -37,6 +45,14 @@ struct JobAssignment {
   std::size_t cut_index = 0;
 
   friend bool operator==(const JobAssignment&, const JobAssignment&) = default;
+};
+
+/// One (cut index, job count) entry of a plan's cut mix.
+struct CutMix {
+  std::uint32_t cut = 0;
+  std::uint32_t count = 0;
+
+  friend bool operator==(const CutMix&, const CutMix&) = default;
 };
 
 /// A complete partition + schedule for n identical jobs.

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <iterator>
+#include <type_traits>
 #include <utility>
 
 #include "check/contracts.h"
@@ -75,10 +75,6 @@ obs::Gauge& hit_ratio_gauge() {
   return g;
 }
 
-}  // namespace
-
-namespace {
-
 // splitmix64-style combine; good avalanche for composite keys.
 std::size_t hash_combine(std::size_t seed, std::size_t value) {
   value += 0x9E3779B97F4A7C15ull + (seed << 6) + (seed >> 2);
@@ -96,15 +92,47 @@ std::size_t hash_double(double x) {
 
 }  // namespace
 
-std::size_t PlanCache::CurveKeyHash::operator()(
-    const CurveCacheKey& k) const {
+PlanDecision PlanDecision::of(const ExecutionPlan& plan) {
+  PlanDecision d;
+  d.predicted_makespan = plan.predicted_makespan;
+  if (plan.jobs.empty()) return d;
+  const auto cut_is = [](std::size_t cut) {
+    return [cut](const JobAssignment& job) { return job.cut_index == cut; };
+  };
+  const std::size_t first = plan.jobs.front().cut_index;
+  const auto split =
+      std::find_if_not(plan.jobs.begin(), plan.jobs.end(), cut_is(first));
+  const std::size_t second = split == plan.jobs.end() ? first
+                                                      : split->cut_index;
+  JPS_ENSURE(std::all_of(split, plan.jobs.end(), cut_is(second)),
+             "a served plan has at most two cut types, cut_a's jobs first "
+             "(Thm 5.3)");
+  d.cut_a = static_cast<std::uint32_t>(first);
+  d.cut_b = static_cast<std::uint32_t>(second);
+  d.n_a = first == second
+              ? 0
+              : static_cast<std::uint32_t>(split - plan.jobs.begin());
+  return d;
+}
+
+std::vector<CutMix> PlanDecision::mix(int n_jobs) const {
+  JPS_REQUIRE(n_jobs >= 0 && n_a <= static_cast<std::uint32_t>(n_jobs),
+              "a decision's n_a cannot exceed its key's n_jobs");
+  const auto n = static_cast<std::uint32_t>(n_jobs);
+  if (cut_a == cut_b || n_a == n) return {{cut_a, n}};
+  if (n_a == 0) return {{cut_b, n}};
+  if (cut_a < cut_b) return {{cut_a, n_a}, {cut_b, n - n_a}};
+  return {{cut_b, n - n_a}, {cut_a, n_a}};
+}
+
+std::size_t CurveCacheKeyHash::operator()(const CurveCacheKey& k) const {
   std::size_t h = std::hash<std::string>{}(k.model);
   h = hash_combine(h, std::hash<std::string>{}(k.device));
   h = hash_combine(h, hash_double(k.bandwidth_mbps));
   return h;
 }
 
-std::size_t PlanCache::PlanKeyHash::operator()(const PlanCacheKey& k) const {
+std::size_t PlanCacheKeyHash::operator()(const PlanCacheKey& k) const {
   std::size_t h = std::hash<std::string>{}(k.model);
   h = hash_combine(h, std::hash<std::string>{}(k.device));
   h = hash_combine(h, hash_double(k.bandwidth_mbps));
@@ -113,196 +141,138 @@ std::size_t PlanCache::PlanKeyHash::operator()(const PlanCacheKey& k) const {
   return h;
 }
 
-std::shared_ptr<const partition::ProfileCurve> PlanCache::curve(
+template <class PlanT>
+BasicPlanCache<PlanT>::BasicPlanCache(std::size_t shards) {
+  shards_.resize(std::max<std::size_t>(1, shards));
+  for (auto& shard : shards_) shard = std::make_unique<Shard>();
+}
+
+template <class PlanT>
+std::size_t BasicPlanCache<PlanT>::shard_of(const CurveCacheKey& key) const {
+  return CurveKeyHash{}(key) % shards_.size();
+}
+
+template <class PlanT>
+std::size_t BasicPlanCache<PlanT>::shard_of(const PlanCacheKey& key) const {
+  return PlanKeyHash{}(key) % shards_.size();
+}
+
+template <class PlanT>
+std::shared_ptr<const partition::ProfileCurve> BasicPlanCache<PlanT>::curve(
     const CurveCacheKey& key, const CurveBuilder& build) {
+  Shard& shard = *shards_[shard_of(key)];
   {
     obs::ScopedTimer probe(lookup_histogram());
-    util::SharedLock lock(mutex_);
-    const auto it = curves_.find(key);
-    if (it != curves_.end()) {
-      curve_hits_.fetch_add(1, std::memory_order_relaxed);
+    util::SharedLock lock(shard.mutex);
+    const auto it = shard.curves.find(key);
+    if (it != shard.curves.end()) {
+      shard.curve_hits.fetch_add(1, std::memory_order_relaxed);
       curve_hit_counter().add();
-      hit_ratio_gauge().set(stats().hit_rate());
+      hit_ratio_gauge().set(shard.stats().hit_rate());
       return it->second;
     }
   }
-  curve_misses_.fetch_add(1, std::memory_order_relaxed);
+  shard.curve_misses.fetch_add(1, std::memory_order_relaxed);
   curve_miss_counter().add();
-  hit_ratio_gauge().set(stats().hit_rate());
+  hit_ratio_gauge().set(shard.stats().hit_rate());
   // Build outside the lock: curve construction walks the DNN graph and must
   // not serialize concurrent misses for unrelated keys.
   auto built = std::make_shared<const partition::ProfileCurve>(build());
-  util::MutexLock lock(mutex_);
-  const auto [it, inserted] = curves_.emplace(key, std::move(built));
+  util::MutexLock lock(shard.mutex);
+  const auto [it, inserted] = shard.curves.emplace(key, std::move(built));
   return it->second;  // first insert wins for racing builders
 }
 
-std::shared_ptr<const ExecutionPlan> PlanCache::find_plan(
+template <class PlanT>
+std::shared_ptr<const PlanT> BasicPlanCache<PlanT>::find_plan(
     const PlanCacheKey& key) {
+  Shard& shard = *shards_[shard_of(key)];
   obs::ScopedTimer probe(lookup_histogram());
-  util::SharedLock lock(mutex_);
-  const auto it = plans_.find(key);
-  if (it == plans_.end()) return nullptr;
-  plan_hits_.fetch_add(1, std::memory_order_relaxed);
+  util::SharedLock lock(shard.mutex);
+  const auto it = shard.plans.find(key);
+  if (it == shard.plans.end()) return nullptr;
+  shard.plan_hits.fetch_add(1, std::memory_order_relaxed);
   plan_hit_counter().add();
-  hit_ratio_gauge().set(stats().hit_rate());
+  hit_ratio_gauge().set(shard.stats().hit_rate());
   return it->second;
 }
 
-std::shared_ptr<const ExecutionPlan> PlanCache::plan(const PlanCacheKey& key,
-                                                     const PlanBuilder& build) {
+template <class PlanT>
+std::shared_ptr<const PlanT> BasicPlanCache<PlanT>::plan(
+    const PlanCacheKey& key, const PlanBuilder& build) {
   if (auto hit = find_plan(key)) return hit;
-  plan_misses_.fetch_add(1, std::memory_order_relaxed);
+  Shard& shard = *shards_[shard_of(key)];
+  shard.plan_misses.fetch_add(1, std::memory_order_relaxed);
   plan_miss_counter().add();
-  hit_ratio_gauge().set(stats().hit_rate());
-  auto built = std::make_shared<const ExecutionPlan>(build());
-  util::MutexLock lock(mutex_);
-  const auto [it, inserted] = plans_.emplace(key, std::move(built));
+  hit_ratio_gauge().set(shard.stats().hit_rate());
+  std::shared_ptr<const PlanT> built;
+  if constexpr (std::is_same_v<PlanT, ExecutionPlan>)
+    built = std::make_shared<const PlanT>(build());
+  else
+    built = std::make_shared<const PlanT>(PlanT::of(build()));
+  util::MutexLock lock(shard.mutex);
+  const auto [it, inserted] = shard.plans.emplace(key, std::move(built));
   return it->second;
 }
 
-void PlanCache::insert_plan(const PlanCacheKey& key,
-                            std::shared_ptr<const ExecutionPlan> plan) {
+template <class PlanT>
+void BasicPlanCache<PlanT>::insert_plan(const PlanCacheKey& key,
+                                        std::shared_ptr<const PlanT> plan) {
   if (!plan) return;
-  util::MutexLock lock(mutex_);
-  plans_.emplace(key, std::move(plan));  // first insert wins
+  Shard& shard = *shards_[shard_of(key)];
+  util::MutexLock lock(shard.mutex);
+  shard.plans.emplace(key, std::move(plan));  // first insert wins
 }
 
-std::vector<PlanCache::PlanEntry> PlanCache::plan_entries() const {
-  util::SharedLock lock(mutex_);
+template <class PlanT>
+auto BasicPlanCache<PlanT>::plan_entries() const -> std::vector<PlanEntry> {
   std::vector<PlanEntry> out;
-  out.reserve(plans_.size());
-  for (const auto& [key, plan] : plans_) out.emplace_back(key, plan);
+  for (const auto& shard : shards_) {
+    util::SharedLock lock(shard->mutex);
+    out.insert(out.end(), shard->plans.begin(), shard->plans.end());
+  }
   return out;
 }
 
-std::shared_ptr<const ExecutionPlan> PlanCache::nearest_plan(
+template <class PlanT>
+std::shared_ptr<const PlanT> BasicPlanCache<PlanT>::nearest_plan(
     const PlanCacheKey& want, double* bandwidth_out) const {
-  util::SharedLock lock(mutex_);
-  std::shared_ptr<const ExecutionPlan> best;
+  std::shared_ptr<const PlanT> best;
   double best_bw = 0.0;
-  for (const auto& [key, plan] : plans_) {
-    if (key.model != want.model || key.device != want.device ||
-        key.strategy != want.strategy || key.n_jobs != want.n_jobs)
-      continue;
-    const double diff = std::abs(key.bandwidth_mbps - want.bandwidth_mbps);
-    const double best_diff = std::abs(best_bw - want.bandwidth_mbps);
-    if (!best || diff < best_diff ||
-        (diff == best_diff && key.bandwidth_mbps < best_bw)) {
-      best = plan;
-      best_bw = key.bandwidth_mbps;
+  for (const auto& shard : shards_) {
+    util::SharedLock lock(shard->mutex);
+    for (const auto& [key, plan] : shard->plans) {
+      if (key.model != want.model || key.device != want.device ||
+          key.strategy != want.strategy || key.n_jobs != want.n_jobs)
+        continue;
+      const double diff = std::abs(key.bandwidth_mbps - want.bandwidth_mbps);
+      const double best_diff = std::abs(best_bw - want.bandwidth_mbps);
+      if (!best || diff < best_diff ||
+          (diff == best_diff && key.bandwidth_mbps < best_bw)) {
+        best = plan;
+        best_bw = key.bandwidth_mbps;
+      }
     }
   }
   if (best && bandwidth_out != nullptr) *bandwidth_out = best_bw;
   return best;
 }
 
-PlanCache::Stats PlanCache::stats() const {
+template <class PlanT>
+PlanCacheStats BasicPlanCache<PlanT>::Shard::stats() const {
   Stats s;
-  s.curve_hits = curve_hits_.load(std::memory_order_relaxed);
-  s.curve_misses = curve_misses_.load(std::memory_order_relaxed);
-  s.plan_hits = plan_hits_.load(std::memory_order_relaxed);
-  s.plan_misses = plan_misses_.load(std::memory_order_relaxed);
+  s.curve_hits = curve_hits.load(std::memory_order_relaxed);
+  s.curve_misses = curve_misses.load(std::memory_order_relaxed);
+  s.plan_hits = plan_hits.load(std::memory_order_relaxed);
+  s.plan_misses = plan_misses.load(std::memory_order_relaxed);
   return s;
 }
 
-void PlanCache::reset_stats() {
-  curve_hits_.store(0, std::memory_order_relaxed);
-  curve_misses_.store(0, std::memory_order_relaxed);
-  plan_hits_.store(0, std::memory_order_relaxed);
-  plan_misses_.store(0, std::memory_order_relaxed);
-}
-
-void PlanCache::clear() {
-  util::MutexLock lock(mutex_);
-  curves_.clear();
-  plans_.clear();
-  lock.unlock();
-  reset_stats();
-}
-
-std::size_t PlanCache::curve_count() const {
-  util::SharedLock lock(mutex_);
-  return curves_.size();
-}
-
-std::size_t PlanCache::plan_count() const {
-  util::SharedLock lock(mutex_);
-  return plans_.size();
-}
-
-PlanCache& PlanCache::global() {
-  static PlanCache cache;
-  return cache;
-}
-
-ShardedPlanCache::ShardedPlanCache(std::size_t shards) {
-  shards_.reserve(std::max<std::size_t>(1, shards));
-  for (std::size_t i = 0; i < std::max<std::size_t>(1, shards); ++i)
-    shards_.push_back(std::make_unique<PlanCache>());
-}
-
-std::size_t ShardedPlanCache::shard_of(const CurveCacheKey& key) const {
-  return PlanCache::CurveKeyHash{}(key) % shards_.size();
-}
-
-std::size_t ShardedPlanCache::shard_of(const PlanCacheKey& key) const {
-  return PlanCache::PlanKeyHash{}(key) % shards_.size();
-}
-
-std::shared_ptr<const partition::ProfileCurve> ShardedPlanCache::curve(
-    const CurveCacheKey& key, const PlanCache::CurveBuilder& build) {
-  return shards_[shard_of(key)]->curve(key, build);
-}
-
-std::shared_ptr<const ExecutionPlan> ShardedPlanCache::plan(
-    const PlanCacheKey& key, const PlanCache::PlanBuilder& build) {
-  return shards_[shard_of(key)]->plan(key, build);
-}
-
-std::shared_ptr<const ExecutionPlan> ShardedPlanCache::find_plan(
-    const PlanCacheKey& key) {
-  return shards_[shard_of(key)]->find_plan(key);
-}
-
-void ShardedPlanCache::insert_plan(const PlanCacheKey& key,
-                                   std::shared_ptr<const ExecutionPlan> plan) {
-  shards_[shard_of(key)]->insert_plan(key, std::move(plan));
-}
-
-std::vector<PlanCache::PlanEntry> ShardedPlanCache::plan_entries() const {
-  std::vector<PlanCache::PlanEntry> out;
+template <class PlanT>
+PlanCacheStats BasicPlanCache<PlanT>::stats() const {
+  Stats total;
   for (const auto& shard : shards_) {
-    auto entries = shard->plan_entries();
-    out.insert(out.end(), std::make_move_iterator(entries.begin()),
-               std::make_move_iterator(entries.end()));
-  }
-  return out;
-}
-
-std::shared_ptr<const ExecutionPlan> ShardedPlanCache::nearest_plan(
-    const PlanCacheKey& want, double* bandwidth_out) const {
-  std::shared_ptr<const ExecutionPlan> best;
-  double best_bw = 0.0;
-  for (const auto& shard : shards_) {
-    double bw = 0.0;
-    auto candidate = shard->nearest_plan(want, &bw);
-    if (!candidate) continue;
-    const double diff = std::abs(bw - want.bandwidth_mbps);
-    const double best_diff = std::abs(best_bw - want.bandwidth_mbps);
-    if (!best || diff < best_diff || (diff == best_diff && bw < best_bw)) {
-      best = std::move(candidate);
-      best_bw = bw;
-    }
-  }
-  if (best && bandwidth_out != nullptr) *bandwidth_out = best_bw;
-  return best;
-}
-
-PlanCache::Stats ShardedPlanCache::stats() const {
-  PlanCache::Stats total;
-  for (const auto& shard : shards_) {
-    const PlanCache::Stats s = shard->stats();
+    const Stats s = shard->stats();
     total.curve_hits += s.curve_hits;
     total.curve_misses += s.curve_misses;
     total.plan_hits += s.plan_hits;
@@ -311,24 +281,55 @@ PlanCache::Stats ShardedPlanCache::stats() const {
   return total;
 }
 
-void ShardedPlanCache::reset_stats() {
-  for (const auto& shard : shards_) shard->reset_stats();
+template <class PlanT>
+void BasicPlanCache<PlanT>::reset_stats() {
+  for (const auto& shard : shards_) {
+    shard->curve_hits.store(0, std::memory_order_relaxed);
+    shard->curve_misses.store(0, std::memory_order_relaxed);
+    shard->plan_hits.store(0, std::memory_order_relaxed);
+    shard->plan_misses.store(0, std::memory_order_relaxed);
+  }
 }
 
-void ShardedPlanCache::clear() {
-  for (const auto& shard : shards_) shard->clear();
+template <class PlanT>
+void BasicPlanCache<PlanT>::clear() {
+  for (const auto& shard : shards_) {
+    util::MutexLock lock(shard->mutex);
+    shard->curves.clear();
+    shard->plans.clear();
+  }
+  reset_stats();
 }
 
-std::size_t ShardedPlanCache::curve_count() const {
+template <class PlanT>
+std::size_t BasicPlanCache<PlanT>::curve_count() const {
   std::size_t n = 0;
-  for (const auto& shard : shards_) n += shard->curve_count();
+  for (const auto& shard : shards_) {
+    util::SharedLock lock(shard->mutex);
+    n += shard->curves.size();
+  }
   return n;
 }
 
-std::size_t ShardedPlanCache::plan_count() const {
+template <class PlanT>
+std::size_t BasicPlanCache<PlanT>::plan_count() const {
   std::size_t n = 0;
-  for (const auto& shard : shards_) n += shard->plan_count();
+  for (const auto& shard : shards_) {
+    util::SharedLock lock(shard->mutex);
+    n += shard->plans.size();
+  }
   return n;
 }
+
+template <class PlanT>
+BasicPlanCache<PlanT>& BasicPlanCache<PlanT>::global()
+  requires std::same_as<PlanT, ExecutionPlan>
+{
+  static BasicPlanCache cache;
+  return cache;
+}
+
+template class BasicPlanCache<ExecutionPlan>;
+template class BasicPlanCache<PlanDecision>;
 
 }  // namespace jps::core

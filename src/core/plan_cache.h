@@ -14,9 +14,16 @@
 // and later builders adopt the cached value, keeping hit pointers stable).
 // Values are handed out as shared_ptr<const T> so entries stay alive across
 // clear() while a caller still uses them.
+//
+// Values: the library PlanCache hands out full ExecutionPlans (per-job
+// cuts, order and stage lanes: 64 B per job).  The serve cache,
+// ShardedPlanCache, hands out fixed-size PlanDecisions: a reply needs only
+// the cut mix and makespan, so a miss's full plan is freed once reduced.
 #pragma once
 
 #include <atomic>
+#include <concepts>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -66,57 +73,107 @@ struct PlanCacheKey {
   friend bool operator==(const PlanCacheKey&, const PlanCacheKey&) = default;
 };
 
-/// Thread-safe memo of curves and plans with hit/miss accounting.
-class PlanCache {
+/// A served plan reduced to the decision the wire reply carries.  Thm 5.3
+/// (DESIGN.md): every LO/CO/PO/JPS/JPS*/JPS+ answer uses at most two cut
+/// types, so one PlanSweep point describes it: the first n_a scheduled jobs
+/// sit at cut_a and the rest at cut_b; a pure plan has cut_a == cut_b and
+/// n_a == 0.  The job count is not stored: it is the n_jobs of the key the
+/// decision is cached under, so the two can never disagree.
+struct PlanDecision {
+  std::uint32_t cut_a = 0;
+  std::uint32_t cut_b = 0;
+  std::uint32_t n_a = 0;
+  double predicted_makespan = 0.0;
+
+  /// The decision of `plan`.  JPS_ENSUREs at most two distinct cuts, with
+  /// every cut_a job scheduled before every cut_b job.
+  [[nodiscard]] static PlanDecision of(const ExecutionPlan& plan);
+
+  /// The (cut, count) mix of `n_jobs` jobs, ascending by cut and without
+  /// empty entries: at most two pairs, counts summing to n_jobs.
+  /// Precondition: n_a <= n_jobs.
+  [[nodiscard]] std::vector<CutMix> mix(int n_jobs) const;
+
+  friend bool operator==(const PlanDecision&, const PlanDecision&) = default;
+};
+
+/// Hit/miss counters of a plan cache (both tables).
+struct PlanCacheStats {
+  std::uint64_t curve_hits = 0;
+  std::uint64_t curve_misses = 0;
+  std::uint64_t plan_hits = 0;
+  std::uint64_t plan_misses = 0;
+
+  [[nodiscard]] std::uint64_t hits() const { return curve_hits + plan_hits; }
+  [[nodiscard]] std::uint64_t misses() const {
+    return curve_misses + plan_misses;
+  }
+  /// Hits over lookups across both tables (0 when never queried).
+  [[nodiscard]] double hit_rate() const {
+    const std::uint64_t total = hits() + misses();
+    return total == 0 ? 0.0
+                      : static_cast<double>(hits()) /
+                            static_cast<double>(total);
+  }
+};
+
+/// The hashes the tables key on (also shard routing, and any other map
+/// that must treat two keys as one exactly when the cache does).
+struct CurveCacheKeyHash {
+  std::size_t operator()(const CurveCacheKey& k) const;
+};
+struct PlanCacheKeyHash {
+  std::size_t operator()(const PlanCacheKey& k) const;
+};
+
+/// Thread-safe memo of curves and plans with hit/miss accounting, striped
+/// across N independent shards, each with its own shared_mutex.  A key is
+/// routed to a shard by its hash (curve and plan keys with equal (model,
+/// device, bandwidth) may land on different shards — the tables are
+/// independent, so that is fine).  One shard is enough for a bench loop,
+/// but a multi-tenant plan server answers concurrent requests for
+/// *different* (model, bandwidth-bucket) keys, and a single writer
+/// inserting a miss would stall every reader behind one lock.
+///
+/// The plan table stores one `PlanT` per key: the full ExecutionPlan
+/// (PlanCache) or its PlanDecision (ShardedPlanCache).  Either way plan()
+/// takes a builder of the full ExecutionPlan.
+template <class PlanT>
+class BasicPlanCache {
  public:
-  struct Stats {
-    std::uint64_t curve_hits = 0;
-    std::uint64_t curve_misses = 0;
-    std::uint64_t plan_hits = 0;
-    std::uint64_t plan_misses = 0;
-
-    [[nodiscard]] std::uint64_t hits() const { return curve_hits + plan_hits; }
-    [[nodiscard]] std::uint64_t misses() const {
-      return curve_misses + plan_misses;
-    }
-    /// Hits over lookups across both tables (0 when never queried).
-    [[nodiscard]] double hit_rate() const {
-      const std::uint64_t total = hits() + misses();
-      return total == 0 ? 0.0
-                        : static_cast<double>(hits()) /
-                              static_cast<double>(total);
-    }
-  };
-
+  using Stats = PlanCacheStats;
+  using CurveKeyHash = CurveCacheKeyHash;
+  using PlanKeyHash = PlanCacheKeyHash;
   using CurveBuilder = std::function<partition::ProfileCurve()>;
   using PlanBuilder = std::function<ExecutionPlan()>;
+  /// One exported plan-table entry (snapshot format, tests).
+  using PlanEntry = std::pair<PlanCacheKey, std::shared_ptr<const PlanT>>;
 
-  PlanCache() = default;
-  PlanCache(const PlanCache&) = delete;
-  PlanCache& operator=(const PlanCache&) = delete;
+  /// `shards` is clamped to at least 1.
+  explicit BasicPlanCache(std::size_t shards = 1);
+  BasicPlanCache(const BasicPlanCache&) = delete;
+  BasicPlanCache& operator=(const BasicPlanCache&) = delete;
 
   /// The curve for `key`, building it with `build` on a miss.
   [[nodiscard]] std::shared_ptr<const partition::ProfileCurve> curve(
       const CurveCacheKey& key, const CurveBuilder& build);
 
-  /// The plan for `key`, building it with `build` on a miss.
-  [[nodiscard]] std::shared_ptr<const ExecutionPlan> plan(
-      const PlanCacheKey& key, const PlanBuilder& build);
+  /// The plan for `key`, building it with `build` on a miss.  A
+  /// PlanDecision table keeps PlanDecision::of the built plan, which is
+  /// then freed.
+  [[nodiscard]] std::shared_ptr<const PlanT> plan(const PlanCacheKey& key,
+                                                  const PlanBuilder& build);
 
   /// The cached plan for `key`, or nullptr; never builds.  Counts a plan
   /// hit on success and nothing on a miss, so a caller that falls back to
   /// plan() after a nullptr still has that lookup counted exactly once.
-  [[nodiscard]] std::shared_ptr<const ExecutionPlan> find_plan(
+  [[nodiscard]] std::shared_ptr<const PlanT> find_plan(
       const PlanCacheKey& key);
-
-  /// One exported plan-table entry (snapshot format, tests).
-  using PlanEntry = std::pair<PlanCacheKey, std::shared_ptr<const ExecutionPlan>>;
 
   /// Quiet insert for warm-start: no hit/miss accounting, first insert wins
   /// (an already-cached key keeps its value — a reloaded snapshot must
   /// never clobber a plan computed after startup).
-  void insert_plan(const PlanCacheKey& key,
-                   std::shared_ptr<const ExecutionPlan> plan);
+  void insert_plan(const PlanCacheKey& key, std::shared_ptr<const PlanT> plan);
 
   /// Every plan-table entry, unordered.  Values are shared, not copied.
   [[nodiscard]] std::vector<PlanEntry> plan_entries() const;
@@ -126,10 +183,11 @@ class PlanCache {
   /// lower bandwidth, so the answer is deterministic).  Degraded-mode
   /// lookup for an open circuit breaker: "a plan for roughly this uplink
   /// beats no plan at all".  nullptr when no candidate exists.
-  [[nodiscard]] std::shared_ptr<const ExecutionPlan> nearest_plan(
+  [[nodiscard]] std::shared_ptr<const PlanT> nearest_plan(
       const PlanCacheKey& want, double* bandwidth_out = nullptr) const;
 
-  /// Counters snapshot (monotone since construction or reset_stats()).
+  /// Counters summed over every shard (monotone since construction or
+  /// reset_stats()).
   [[nodiscard]] Stats stats() const;
 
   /// Zero the hit/miss counters (entries are kept).
@@ -137,78 +195,6 @@ class PlanCache {
 
   /// Drop all entries and zero the counters.  Outstanding shared_ptrs stay
   /// valid.
-  void clear();
-
-  [[nodiscard]] std::size_t curve_count() const;
-  [[nodiscard]] std::size_t plan_count() const;
-
-  /// The process-wide cache the benches, CLI, and serving paths share.
-  [[nodiscard]] static PlanCache& global();
-
-  /// The hashes the tables key on (also shard routing, and any other map
-  /// that must treat two keys as one exactly when the cache does).
-  struct CurveKeyHash {
-    std::size_t operator()(const CurveCacheKey& k) const;
-  };
-  struct PlanKeyHash {
-    std::size_t operator()(const PlanCacheKey& k) const;
-  };
-
- private:
-  // One lock-order name per cache *class*: every shard (and the global
-  // cache) is interchangeable in the acquisition graph, and no code path
-  // nests two of them.
-  mutable util::SharedMutex mutex_{"core.plan_cache"};
-  std::unordered_map<CurveCacheKey,
-                     std::shared_ptr<const partition::ProfileCurve>,
-                     CurveKeyHash>
-      curves_ JPS_GUARDED_BY(mutex_);
-  std::unordered_map<PlanCacheKey, std::shared_ptr<const ExecutionPlan>,
-                     PlanKeyHash>
-      plans_ JPS_GUARDED_BY(mutex_);
-  std::atomic<std::uint64_t> curve_hits_{0};
-  std::atomic<std::uint64_t> curve_misses_{0};
-  std::atomic<std::uint64_t> plan_hits_{0};
-  std::atomic<std::uint64_t> plan_misses_{0};
-};
-
-/// PlanCache striped across N independent shards, each with its own
-/// shared_mutex.  One PlanCache is enough for a bench loop, but a
-/// multi-tenant plan server answers concurrent requests for *different*
-/// (model, bandwidth-bucket) keys, and a single writer inserting a miss
-/// would stall every reader behind one lock.  Keys are routed to a shard by
-/// their hash (curve and plan keys with equal (model, device, bandwidth)
-/// stay on potentially different shards — the tables are independent, so
-/// that is fine), which keeps PlanCache itself untouched while serving gets
-/// lock striping for free.
-class ShardedPlanCache {
- public:
-  /// `shards` is clamped to at least 1.
-  explicit ShardedPlanCache(std::size_t shards = 8);
-
-  ShardedPlanCache(const ShardedPlanCache&) = delete;
-  ShardedPlanCache& operator=(const ShardedPlanCache&) = delete;
-
-  /// Same contract as PlanCache::curve / plan / find_plan.
-  [[nodiscard]] std::shared_ptr<const partition::ProfileCurve> curve(
-      const CurveCacheKey& key, const PlanCache::CurveBuilder& build);
-  [[nodiscard]] std::shared_ptr<const ExecutionPlan> plan(
-      const PlanCacheKey& key, const PlanCache::PlanBuilder& build);
-  [[nodiscard]] std::shared_ptr<const ExecutionPlan> find_plan(
-      const PlanCacheKey& key);
-
-  /// Same contract as the PlanCache counterparts; entries aggregate across
-  /// shards and nearest_plan scans every shard for the global minimum.
-  void insert_plan(const PlanCacheKey& key,
-                   std::shared_ptr<const ExecutionPlan> plan);
-  [[nodiscard]] std::vector<PlanCache::PlanEntry> plan_entries() const;
-  [[nodiscard]] std::shared_ptr<const ExecutionPlan> nearest_plan(
-      const PlanCacheKey& want, double* bandwidth_out = nullptr) const;
-
-  /// Counters aggregated across every shard.
-  [[nodiscard]] PlanCache::Stats stats() const;
-
-  void reset_stats();
   void clear();
 
   [[nodiscard]] std::size_t shard_count() const { return shards_.size(); }
@@ -219,9 +205,44 @@ class ShardedPlanCache {
   [[nodiscard]] std::size_t shard_of(const CurveCacheKey& key) const;
   [[nodiscard]] std::size_t shard_of(const PlanCacheKey& key) const;
 
+  /// The process-wide cache the benches and CLI share.
+  [[nodiscard]] static BasicPlanCache& global()
+    requires std::same_as<PlanT, ExecutionPlan>;
+
  private:
-  // unique_ptr: PlanCache is neither movable nor copyable.
-  std::vector<std::unique_ptr<PlanCache>> shards_;
+  struct Shard {
+    // One lock-order name per cache *class*: every shard (and the global
+    // cache) is interchangeable in the acquisition graph, and no code path
+    // nests two of them.
+    mutable util::SharedMutex mutex{"core.plan_cache"};
+    std::unordered_map<CurveCacheKey,
+                       std::shared_ptr<const partition::ProfileCurve>,
+                       CurveKeyHash>
+        curves JPS_GUARDED_BY(mutex);
+    std::unordered_map<PlanCacheKey, std::shared_ptr<const PlanT>,
+                       PlanKeyHash>
+        plans JPS_GUARDED_BY(mutex);
+    std::atomic<std::uint64_t> curve_hits{0};
+    std::atomic<std::uint64_t> curve_misses{0};
+    std::atomic<std::uint64_t> plan_hits{0};
+    std::atomic<std::uint64_t> plan_misses{0};
+
+    [[nodiscard]] Stats stats() const;
+  };
+
+  // unique_ptr: a Shard holds a mutex and atomics, so it cannot move.
+  std::vector<std::unique_ptr<Shard>> shards_;
 };
+
+extern template class BasicPlanCache<ExecutionPlan>;
+extern template class BasicPlanCache<PlanDecision>;
+
+/// The library cache (benches, CLI, simulator hooks): full per-job plans,
+/// one shard by default.
+using PlanCache = BasicPlanCache<ExecutionPlan>;
+
+/// The serve cache: fixed-size PlanDecisions, so a cached key costs the
+/// same at any n_jobs.  Construct with the server's lock-stripe count.
+using ShardedPlanCache = BasicPlanCache<PlanDecision>;
 
 }  // namespace jps::core

@@ -443,7 +443,7 @@ PlanSweep Planner::plan_sweep(Strategy strategy, int n_jobs,
                               const net::Channel& channel) const {
   if (n_jobs < 1)
     throw std::invalid_argument("Planner::plan_sweep: n_jobs < 1");
-  if (strategy == Strategy::kBruteForce || strategy == Strategy::kRobust)
+  if (!servable(strategy))
     throw std::invalid_argument(
         "Planner::plan_sweep: strategy is not O(cuts) per point; use "
         "plan() / RobustPlanner");

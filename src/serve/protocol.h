@@ -159,12 +159,7 @@ struct PlanRequest {
 };
 
 /// One (cut index, job count) entry of the reply's cut mix.
-struct CutMix {
-  std::uint32_t cut = 0;
-  std::uint32_t count = 0;
-
-  friend bool operator==(const CutMix&, const CutMix&) = default;
-};
+using CutMix = core::CutMix;
 
 struct PlanReply {
   Status status = Status::kOk;

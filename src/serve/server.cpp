@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cmath>
 #include <exception>
-#include <map>
 #include <system_error>
 #include <thread>
 #include <utility>
@@ -294,7 +293,7 @@ Server::PlanOutcome Server::compute_plan(const core::PlanCacheKey& key) {
     // A second look: another leader may have inserted this key since the
     // fast-path lookup missed.
     obs::Span cache_span("serve.cache_lookup", "serve");
-    outcome.plan = cache_.plan(key, [&] {
+    outcome.decision = cache_.plan(key, [&] {
       built = true;
       return core::Planner(*curve).plan(key.strategy, key.n_jobs);
     });
@@ -305,19 +304,13 @@ Server::PlanOutcome Server::compute_plan(const core::PlanCacheKey& key) {
   return outcome;
 }
 
-PlanReply Server::to_reply(const PlanOutcome& outcome) const {
+PlanReply Server::to_reply(const PlanOutcome& outcome, int n_jobs) const {
   PlanReply reply;
   reply.status = Status::kOk;
   reply.cache_hit = outcome.cache_hit;
   reply.bandwidth_bucket_mbps = outcome.bucket_mbps;
-  reply.makespan_ms = outcome.plan->predicted_makespan;
-  // Aggregate per-job assignments into a (cut -> count) mix, ascending.
-  std::map<std::size_t, std::uint32_t> mix;
-  for (const core::JobAssignment& job : outcome.plan->jobs)
-    ++mix[job.cut_index];
-  reply.mix.reserve(mix.size());
-  for (const auto& [cut, count] : mix)
-    reply.mix.push_back({static_cast<std::uint32_t>(cut), count});
+  reply.makespan_ms = outcome.decision->predicted_makespan;
+  reply.mix = outcome.decision->mix(n_jobs);
   return reply;
 }
 
@@ -327,17 +320,14 @@ PlanReply Server::stale_reply(const PlanRequest& request,
 
   obs::Span span("serve.stale_lookup", "serve");
   double stale_bw = 0.0;
-  auto plan = cache_.nearest_plan(key, &stale_bw);
-  if (!plan) {
+  auto decision = cache_.nearest_plan(key, &stale_bw);
+  if (!decision) {
     return error_reply(Status::kUnavailable,
                        "breaker open for tenant '" + request.tenant +
                            "' and no stale plan cached");
   }
-  PlanOutcome outcome;
-  outcome.plan = std::move(plan);
-  outcome.cache_hit = true;
-  outcome.bucket_mbps = stale_bw;
-  PlanReply reply = to_reply(outcome);
+  PlanReply reply =
+      to_reply({std::move(decision), true, stale_bw}, key.n_jobs);
   reply.status = Status::kOkStale;
   reply.stale = true;
   reply.message = "breaker open; stale plan from bucket " +
@@ -432,8 +422,7 @@ PlanReply Server::process_plan(const PlanRequest& request) {
                        "bandwidth_mbps is too large to bucket");
   if (request.n_jobs < 1)
     return error_reply(Status::kInvalidArgument, "n_jobs must be >= 1");
-  if (request.strategy == core::Strategy::kBruteForce ||
-      request.strategy == core::Strategy::kRobust)
+  if (!core::servable(request.strategy))
     return error_reply(Status::kInvalidArgument,
                        std::string("strategy ") +
                            core::strategy_name(request.strategy) +
@@ -483,7 +472,7 @@ PlanReply Server::process_plan(const PlanRequest& request) {
 
   // Fast path: a ready plan is answered here.  It takes no inflight slot;
   // only misses go on to coalescing and a Planner run.
-  std::shared_ptr<const core::ExecutionPlan> cached;
+  std::shared_ptr<const core::PlanDecision> cached;
   {
     obs::Span cache_span("serve.cache_lookup", "serve");
     cached = cache_.find_plan(key);
@@ -493,7 +482,8 @@ PlanReply Server::process_plan(const PlanRequest& request) {
     cache_hits_.fetch_add(1, std::memory_order_relaxed);
     cache_hits.add();
     return finish_reply(request, arrival_ms,
-                        to_reply({std::move(cached), true, bucket}));
+                        to_reply({std::move(cached), true, bucket},
+                                 request.n_jobs));
   }
 
   std::promise<PlanOutcome> promise;  // fulfilled only by a leader
@@ -551,7 +541,7 @@ PlanReply Server::process_plan(const PlanRequest& request) {
   PlanReply reply;
   try {
     const PlanOutcome& outcome = future.get();
-    reply = to_reply(outcome);
+    reply = to_reply(outcome, request.n_jobs);
     if (outcome.cache_hit && leader) {
       cache_hits_.fetch_add(1, std::memory_order_relaxed);
       cache_hits.add();

@@ -9,10 +9,13 @@
 //   * Bandwidth quantization — live uplink estimates are noisy; requests
 //     are snapped to `bandwidth_bucket_mbps` buckets so nearby estimates
 //     share one answer.  The reply reports the bucket actually planned at.
-//   * Plan caching — completed answers land in a ShardedPlanCache.  Once
-//     a request has passed every gate (drain, validation, deadlines,
-//     tenant admission, breaker), a cached key is answered right on the
-//     connection thread: a lock-striped lookup, no inflight slot.
+//   * Plan caching — completed answers land in a ShardedPlanCache as
+//     fixed-size PlanDecisions (two cuts, a split, the makespan); the full
+//     per-job plan is freed once the miss is answered, so a cached key
+//     costs the same at any n_jobs.  Once a request has passed every gate
+//     (drain, validation, deadlines, tenant admission, breaker), a cached
+//     key is answered right on the connection thread: a lock-striped
+//     lookup, no inflight slot, the reply's mix copied from the decision.
 //   * Request coalescing — concurrent cache MISSES for the same (model,
 //     strategy, n_jobs, bucket) share ONE Planner run via a shared_future
 //     map keyed by the cache key: the first arrival (the leader) plans on
@@ -221,7 +224,7 @@ class Server {
 
  private:
   struct PlanOutcome {
-    std::shared_ptr<const core::ExecutionPlan> plan;
+    std::shared_ptr<const core::PlanDecision> decision;
     bool cache_hit = false;
     double bucket_mbps = 0.0;
   };
@@ -235,7 +238,9 @@ class Server {
   [[nodiscard]] StatsReply build_stats_reply();
   /// The Planner run (graph -> curve -> plan) behind every leader.
   [[nodiscard]] PlanOutcome compute_plan(const core::PlanCacheKey& key);
-  [[nodiscard]] PlanReply to_reply(const PlanOutcome& outcome) const;
+  /// The reply for `outcome`'s decision, its cut mix spread over n_jobs.
+  [[nodiscard]] PlanReply to_reply(const PlanOutcome& outcome,
+                                   int n_jobs) const;
   /// Degraded-mode reply for an open breaker: nearest-bucket stale plan
   /// (kOkStale) or kUnavailable when the cache has no candidate.
   [[nodiscard]] PlanReply stale_reply(const PlanRequest& request,

@@ -1,7 +1,8 @@
 #include "serve/snapshot.h"
 
 #include <algorithm>
-#include <bit>
+#include <climits>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -10,7 +11,7 @@
 #include <utility>
 #include <vector>
 
-#include "core/plan_io.h"
+#include "serve/wire.h"
 #include "util/crc32.h"
 #include "util/log.h"
 
@@ -18,105 +19,9 @@ namespace jps::serve {
 
 namespace {
 
+using namespace wire;
+
 constexpr char kSnapshotMagic[8] = {'J', 'P', 'S', 'S', 'N', 'A', 'P', '\n'};
-
-void put_u8(std::string& out, std::uint8_t v) {
-  out.push_back(static_cast<char>(v));
-}
-
-void put_u16(std::string& out, std::uint16_t v) {
-  out.push_back(static_cast<char>(v & 0xFF));
-  out.push_back(static_cast<char>((v >> 8) & 0xFF));
-}
-
-void put_u32(std::string& out, std::uint32_t v) {
-  for (int shift = 0; shift < 32; shift += 8)
-    out.push_back(static_cast<char>((v >> shift) & 0xFF));
-}
-
-void put_f64(std::string& out, double v) {
-  const auto bits = std::bit_cast<std::uint64_t>(v);
-  for (int shift = 0; shift < 64; shift += 8)
-    out.push_back(static_cast<char>((bits >> shift) & 0xFF));
-}
-
-void put_str16(std::string& out, const std::string& s) {
-  if (s.size() > 0xFFFF)
-    throw std::runtime_error("snapshot: string field exceeds 65535 bytes");
-  put_u16(out, static_cast<std::uint16_t>(s.size()));
-  out += s;
-}
-
-// Minimal bounds-checked cursor (failure = reject the whole snapshot, so a
-// bool-returning style keeps decode_cache_snapshot exception-free).
-class Cursor {
- public:
-  explicit Cursor(std::string_view data) : data_(data) {}
-
-  bool u8(std::uint8_t& out) {
-    if (!need(1)) return false;
-    out = static_cast<std::uint8_t>(data_[pos_++]);
-    return true;
-  }
-
-  bool u16(std::uint16_t& out) {
-    if (!need(2)) return false;
-    out = static_cast<std::uint16_t>(
-        static_cast<std::uint8_t>(data_[pos_]) |
-        (static_cast<std::uint16_t>(static_cast<std::uint8_t>(data_[pos_ + 1]))
-         << 8));
-    pos_ += 2;
-    return true;
-  }
-
-  bool u32(std::uint32_t& out) {
-    if (!need(4)) return false;
-    out = 0;
-    for (int i = 0; i < 4; ++i)
-      out |= static_cast<std::uint32_t>(
-                 static_cast<std::uint8_t>(data_[pos_ + i]))
-             << (8 * i);
-    pos_ += 4;
-    return true;
-  }
-
-  bool f64(double& out) {
-    if (!need(8)) return false;
-    std::uint64_t bits = 0;
-    for (int i = 0; i < 8; ++i)
-      bits |= static_cast<std::uint64_t>(
-                  static_cast<std::uint8_t>(data_[pos_ + i]))
-              << (8 * i);
-    pos_ += 8;
-    out = std::bit_cast<double>(bits);
-    return true;
-  }
-
-  bool str16(std::string& out) {
-    std::uint16_t len = 0;
-    if (!u16(len) || !need(len)) return false;
-    out.assign(data_.substr(pos_, len));
-    pos_ += len;
-    return true;
-  }
-
-  bool bytes(std::string& out, std::size_t len) {
-    if (!need(len)) return false;
-    out.assign(data_.substr(pos_, len));
-    pos_ += len;
-    return true;
-  }
-
-  [[nodiscard]] bool done() const { return pos_ == data_.size(); }
-
- private:
-  [[nodiscard]] bool need(std::size_t n) const {
-    return data_.size() - pos_ >= n;
-  }
-
-  std::string_view data_;
-  std::size_t pos_ = 0;
-};
 
 SnapshotLoadResult reject(std::string why) {
   SnapshotLoadResult r;
@@ -132,8 +37,8 @@ std::string encode_cache_snapshot(const core::ShardedPlanCache& cache) {
   // Deterministic byte stream: sort by the full key so two saves of the
   // same cache are identical (and CI can diff snapshots).
   std::sort(entries.begin(), entries.end(),
-            [](const core::PlanCache::PlanEntry& a,
-               const core::PlanCache::PlanEntry& b) {
+            [](const core::ShardedPlanCache::PlanEntry& a,
+               const core::ShardedPlanCache::PlanEntry& b) {
               return std::tie(a.first.model, a.first.device,
                               a.first.bandwidth_mbps, a.first.strategy,
                               a.first.n_jobs) <
@@ -145,15 +50,16 @@ std::string encode_cache_snapshot(const core::ShardedPlanCache& cache) {
   std::string out(kSnapshotMagic, sizeof(kSnapshotMagic));
   put_u32(out, kSnapshotVersion);
   put_u32(out, static_cast<std::uint32_t>(entries.size()));
-  for (const auto& [key, plan] : entries) {
+  for (const auto& [key, decision] : entries) {
     put_str16(out, key.model);
     put_str16(out, key.device);
     put_f64(out, key.bandwidth_mbps);
     put_u8(out, static_cast<std::uint8_t>(key.strategy));
     put_u32(out, static_cast<std::uint32_t>(key.n_jobs));
-    const std::string text = core::serialize_plan(*plan);
-    put_u32(out, static_cast<std::uint32_t>(text.size()));
-    out += text;
+    put_u32(out, decision->cut_a);
+    put_u32(out, decision->cut_b);
+    put_u32(out, decision->n_a);
+    put_f64(out, decision->predicted_makespan);
   }
   put_u32(out, util::crc32(out));
   return out;
@@ -169,64 +75,63 @@ SnapshotLoadResult decode_cache_snapshot(const std::string& bytes,
 
   // CRC gate first: a single flipped or missing byte anywhere rejects the
   // file before any entry is trusted.
-  const std::string_view body(bytes.data(), bytes.size() - 4);
-  std::uint32_t stored = 0;
-  for (int i = 0; i < 4; ++i)
-    stored |= static_cast<std::uint32_t>(
-                  static_cast<std::uint8_t>(bytes[bytes.size() - 4 +
-                                                  static_cast<std::size_t>(i)]))
-              << (8 * i);
+  const std::string_view all(bytes);
+  const std::string_view body = all.substr(0, all.size() - 4);
+  const std::uint32_t stored = Reader(all.substr(body.size())).u32();
   const std::uint32_t actual = util::crc32(body);
   if (stored != actual)
     return reject("snapshot CRC mismatch (stored " + std::to_string(stored) +
                   ", computed " + std::to_string(actual) + ")");
 
-  Cursor cursor(body.substr(sizeof(kSnapshotMagic)));
-  std::uint32_t version = 0;
-  std::uint32_t count = 0;
-  if (!cursor.u32(version)) return reject("truncated snapshot version");
-  if (version != kSnapshotVersion)
-    return reject("unsupported snapshot version " + std::to_string(version));
-  if (!cursor.u32(count)) return reject("truncated snapshot entry count");
-
   // Decode everything into a staging list; only a fully-valid snapshot
   // touches the cache.
-  std::vector<core::PlanCache::PlanEntry> staged;
-  staged.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    std::string model;
-    std::string device;
-    double bandwidth = 0.0;
-    std::uint8_t strategy = 0;
-    std::uint32_t n_jobs = 0;
-    std::uint32_t plan_len = 0;
-    std::string plan_text;
-    if (!cursor.str16(model) || !cursor.str16(device) ||
-        !cursor.f64(bandwidth) || !cursor.u8(strategy) ||
-        !cursor.u32(n_jobs) || !cursor.u32(plan_len) ||
-        !cursor.bytes(plan_text, plan_len))
-      return reject("truncated snapshot entry " + std::to_string(i));
-    if (strategy > static_cast<std::uint8_t>(core::Strategy::kRobust))
-      return reject("snapshot entry " + std::to_string(i) +
-                    " has unknown strategy code " + std::to_string(strategy));
-    try {
-      // deserialize_plan lints on parse; a key whose bandwidth is
-      // non-finite is rejected by PlanCacheKey's own contract check, so
-      // wrap both in the same guard.
-      core::PlanCacheKey key(model, device, bandwidth,
+  Reader reader(body.substr(sizeof(kSnapshotMagic)));
+  std::vector<core::ShardedPlanCache::PlanEntry> staged;
+  std::uint32_t i = 0;
+  try {
+    const std::uint32_t version = reader.u32();
+    if (version != kSnapshotVersion)
+      return reject("unsupported snapshot version " + std::to_string(version));
+    for (const std::uint32_t count = reader.u32(); i < count; ++i) {
+      std::string model = reader.str16();
+      std::string device = reader.str16();
+      const double bandwidth = reader.f64();
+      const std::uint8_t strategy = reader.u8();
+      const std::uint32_t n_jobs = reader.u32();
+      // Braced initializers evaluate left to right: the record's order.
+      const core::PlanDecision d{reader.u32(), reader.u32(), reader.u32(),
+                                 reader.f64()};
+      // Admit only keys a request can produce, holding a decision that fits.
+      const std::string entry = "snapshot entry " + std::to_string(i);
+      if (strategy > static_cast<std::uint8_t>(core::Strategy::kRobust) ||
+          !core::servable(static_cast<core::Strategy>(strategy)))
+        return reject(entry + " has non-servable strategy code " +
+                      std::to_string(strategy));
+      if (n_jobs < 1 || n_jobs > static_cast<std::uint32_t>(INT_MAX))
+        return reject(entry + " has n_jobs " + std::to_string(n_jobs) +
+                      " outside [1, INT_MAX]");
+      if (!std::isfinite(bandwidth) || bandwidth <= 0.0)
+        return reject(entry + " has a bandwidth that is not finite and > 0");
+      if (d.n_a > n_jobs)
+        return reject(entry + " puts n_a " + std::to_string(d.n_a) +
+                      " > n_jobs " + std::to_string(n_jobs) +
+                      " jobs at cut_a");
+      if (!std::isfinite(d.predicted_makespan) || d.predicted_makespan < 0.0)
+        return reject(entry + " has a makespan that is not finite and >= 0");
+      staged.emplace_back(
+          core::PlanCacheKey(std::move(model), std::move(device), bandwidth,
                              static_cast<core::Strategy>(strategy),
-                             static_cast<int>(n_jobs));
-      auto plan = std::make_shared<const core::ExecutionPlan>(
-          core::deserialize_plan(plan_text));
-      staged.emplace_back(std::move(key), std::move(plan));
-    } catch (const std::exception& e) {
-      return reject("snapshot entry " + std::to_string(i) +
-                    " rejected: " + e.what());
+                             static_cast<int>(n_jobs)),
+          std::make_shared<const core::PlanDecision>(d));
     }
+    reader.expect_done();
+  } catch (const ProtocolError& e) {
+    return reject("malformed snapshot at entry " + std::to_string(i) + ": " +
+                  e.what());
   }
-  if (!cursor.done()) return reject("trailing bytes after snapshot entries");
 
-  for (auto& [key, plan] : staged) cache.insert_plan(key, std::move(plan));
+  for (auto& [key, decision] : staged)
+    cache.insert_plan(key, std::move(decision));
   SnapshotLoadResult r;
   r.entries = staged.size();
   return r;

@@ -9,23 +9,27 @@
 // Format (all integers little-endian):
 //
 //   bytes 0..7  magic "JPSSNAP\n"
-//   u32         format version (1)
+//   u32         format version (2)
 //   u32         entry count
 //   entries     str16 model | str16 device | f64 bandwidth_mbps
 //               | u8 strategy | u32 n_jobs
-//               | u32 plan_len | plan_len bytes (core::serialize_plan text)
+//               | u32 cut_a | u32 cut_b | u32 n_a | f64 predicted_makespan
 //   u32         CRC-32 of everything above
 //
-// Embedding the existing "jps-plan v1" text per entry reuses its exact
-// double round-trip and its lint-on-parse admission — a snapshot entry that
-// would not pass `jps_lint` does not enter the cache.
+// Each entry is its key plus the fixed-size core::PlanDecision the serve
+// cache holds.  Decoding admits only keys a request can produce and
+// decisions that fit them: n_jobs in [1, INT_MAX], a servable strategy
+// (not BF/ROB), a finite bandwidth > 0, n_a <= n_jobs, and a finite
+// makespan >= 0.  Cut indices are not checked against the model's curve
+// (the curve is not persisted).  Version 1 files (per-job "jps-plan v1"
+// text per entry) are rejected as an unsupported version: a cold start.
 //
 // Durability rules:
 //   * save is ATOMIC: write to "<path>.tmp", fsync-free rename over the
 //     destination.  A crash mid-save leaves the previous snapshot intact.
 //   * load NEVER throws and never partially applies: a missing file is a
-//     normal cold start; a corrupt/truncated/unparseable snapshot is
-//     detected (CRC first, then per-entry parse), logged via util::log, and
+//     normal cold start; a corrupt/truncated/invalid snapshot is
+//     detected (CRC first, then per-entry checks), logged via util::log, and
 //     ignored wholesale.  A bad snapshot can cost warmth, never correctness.
 //
 // Only the plan table is persisted.  Curves are bigger, cheaper to rebuild
@@ -40,11 +44,11 @@
 
 namespace jps::serve {
 
-inline constexpr std::uint32_t kSnapshotVersion = 1;
+inline constexpr std::uint32_t kSnapshotVersion = 2;
 
 struct SnapshotLoadResult {
   /// False only when a snapshot existed but was rejected (corrupt,
-  /// truncated, wrong version, unparseable entry).  A missing file is a
+  /// truncated, wrong version, invalid entry).  A missing file is a
   /// clean cold start: ok == true, entries == 0.
   bool ok = true;
   /// Entries inserted into the cache.

@@ -242,13 +242,14 @@ TEST(Server, StopWaitsForAPendingLeader) {
 
   // stop() returned only after the leader's plan reached the cache ...
   EXPECT_EQ(server.inflight(), 0u);
-  const std::vector<core::PlanCache::PlanEntry> cached =
+  const std::vector<core::ShardedPlanCache::PlanEntry> cached =
       server.cache().plan_entries();
   ASSERT_EQ(cached.size(), 1u);
   EXPECT_EQ(cached[0].first, key);
   leader.join();
   ASSERT_TRUE(reply.ok()) << reply.message;
   EXPECT_EQ(cached[0].second->predicted_makespan, reply.makespan_ms);
+  EXPECT_EQ(cached[0].second->mix(request.n_jobs), reply.mix);
 
   // ... so the final snapshot holds it.
   core::ShardedPlanCache restored(1);
@@ -257,6 +258,7 @@ TEST(Server, StopWaitsForAPendingLeader) {
   EXPECT_EQ(loaded.entries, 1u);
   const auto saved = restored.find_plan(key);
   ASSERT_NE(saved, nullptr);
+  EXPECT_EQ(*saved, *cached[0].second);
   EXPECT_EQ(saved->predicted_makespan, reply.makespan_ms);
   std::remove(path.c_str());
 }
