@@ -5,6 +5,7 @@
 #include <optional>
 #include <stdexcept>
 
+#include "core/planner.h"
 #include "sched/johnson.h"
 #include "sched/makespan.h"
 #include "util/thread_pool.h"
@@ -172,22 +173,10 @@ HeteroPlan plan_hetero(std::span<const JobClass> classes, Strategy strategy) {
     case Strategy::kPartitionOnly: {
       std::vector<std::vector<std::size_t>> cuts(classes.size());
       for (std::size_t c = 0; c < classes.size(); ++c) {
-        std::size_t cut = 0;
-        if (strategy == Strategy::kLocalOnly) {
-          cut = classes[c].curve.local_only_index();
-        } else if (strategy == Strategy::kCloudOnly) {
-          cut = classes[c].curve.cloud_only_index();
-        } else {
-          double best_latency = std::numeric_limits<double>::infinity();
-          for (std::size_t i = 0; i < classes[c].curve.size(); ++i) {
-            const double latency =
-                classes[c].curve.f(i) + classes[c].curve.g(i);
-            if (latency < best_latency) {
-              best_latency = latency;
-              cut = i;
-            }
-          }
-        }
+        // A pure strategy: one job's cut is every job's cut.
+        const std::size_t cut = decide(strategy, 1, classes[c].curve.f_lane(),
+                                       classes[c].curve.g_lane())
+                                    .cut_a;
         cuts[c].assign(static_cast<std::size_t>(classes[c].count), cut);
       }
       return evaluate(classes, cuts);

@@ -99,4 +99,29 @@ struct ExecutionPlan {
   }
 };
 
+/// A servable plan reduced to its decision.  Thm 5.3 (DESIGN.md): every
+/// LO/CO/PO/JPS/JPS*/JPS+ answer uses at most two cut types, so the first
+/// n_a scheduled jobs sit at cut_a and the rest at cut_b.  Canonical form: a
+/// pure plan has cut_a == cut_b and n_a == 0.  core::decide produces it
+/// without building a plan; the serve cache stores it per key.  The job
+/// count is not stored: it is the n_jobs of the key the decision is cached
+/// under, so the two can never disagree.
+struct PlanDecision {
+  std::uint32_t cut_a = 0;
+  std::uint32_t cut_b = 0;
+  std::uint32_t n_a = 0;
+  double predicted_makespan = 0.0;
+
+  /// The decision of `plan`.  JPS_ENSUREs at most two distinct cuts, with
+  /// every cut_a job scheduled before every cut_b job.
+  [[nodiscard]] static PlanDecision of(const ExecutionPlan& plan);
+
+  /// The (cut, count) mix of `n_jobs` jobs, ascending by cut and without
+  /// empty entries: at most two pairs, counts summing to n_jobs.
+  /// Precondition: n_a <= n_jobs.
+  [[nodiscard]] std::vector<CutMix> mix(int n_jobs) const;
+
+  friend bool operator==(const PlanDecision&, const PlanDecision&) = default;
+};
+
 }  // namespace jps::core

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <type_traits>
 #include <utility>
 
 #include "check/contracts.h"
@@ -92,39 +91,6 @@ std::size_t hash_double(double x) {
 
 }  // namespace
 
-PlanDecision PlanDecision::of(const ExecutionPlan& plan) {
-  PlanDecision d;
-  d.predicted_makespan = plan.predicted_makespan;
-  if (plan.jobs.empty()) return d;
-  const auto cut_is = [](std::size_t cut) {
-    return [cut](const JobAssignment& job) { return job.cut_index == cut; };
-  };
-  const std::size_t first = plan.jobs.front().cut_index;
-  const auto split =
-      std::find_if_not(plan.jobs.begin(), plan.jobs.end(), cut_is(first));
-  const std::size_t second = split == plan.jobs.end() ? first
-                                                      : split->cut_index;
-  JPS_ENSURE(std::all_of(split, plan.jobs.end(), cut_is(second)),
-             "a served plan has at most two cut types, cut_a's jobs first "
-             "(Thm 5.3)");
-  d.cut_a = static_cast<std::uint32_t>(first);
-  d.cut_b = static_cast<std::uint32_t>(second);
-  d.n_a = first == second
-              ? 0
-              : static_cast<std::uint32_t>(split - plan.jobs.begin());
-  return d;
-}
-
-std::vector<CutMix> PlanDecision::mix(int n_jobs) const {
-  JPS_REQUIRE(n_jobs >= 0 && n_a <= static_cast<std::uint32_t>(n_jobs),
-              "a decision's n_a cannot exceed its key's n_jobs");
-  const auto n = static_cast<std::uint32_t>(n_jobs);
-  if (cut_a == cut_b || n_a == n) return {{cut_a, n}};
-  if (n_a == 0) return {{cut_b, n}};
-  if (cut_a < cut_b) return {{cut_a, n_a}, {cut_b, n - n_a}};
-  return {{cut_b, n - n_a}, {cut_a, n_a}};
-}
-
 std::size_t CurveCacheKeyHash::operator()(const CurveCacheKey& k) const {
   std::size_t h = std::hash<std::string>{}(k.model);
   h = hash_combine(h, std::hash<std::string>{}(k.device));
@@ -199,20 +165,24 @@ std::shared_ptr<const PlanT> BasicPlanCache<PlanT>::find_plan(
 
 template <class PlanT>
 std::shared_ptr<const PlanT> BasicPlanCache<PlanT>::plan(
-    const PlanCacheKey& key, const PlanBuilder& build) {
+    const PlanCacheKey& key, const ValueBuilder& build) {
   if (auto hit = find_plan(key)) return hit;
   Shard& shard = *shards_[shard_of(key)];
   shard.plan_misses.fetch_add(1, std::memory_order_relaxed);
   plan_miss_counter().add();
   hit_ratio_gauge().set(shard.stats().hit_rate());
-  std::shared_ptr<const PlanT> built;
-  if constexpr (std::is_same_v<PlanT, ExecutionPlan>)
-    built = std::make_shared<const PlanT>(build());
-  else
-    built = std::make_shared<const PlanT>(PlanT::of(build()));
+  auto built = std::make_shared<const PlanT>(build());
   util::MutexLock lock(shard.mutex);
   const auto [it, inserted] = shard.plans.emplace(key, std::move(built));
   return it->second;
+}
+
+template <class PlanT>
+std::shared_ptr<const PlanT> BasicPlanCache<PlanT>::plan(
+    const PlanCacheKey& key, const PlanBuilder& build)
+  requires(!std::same_as<PlanT, ExecutionPlan>)
+{
+  return plan(key, ValueBuilder([&build] { return PlanT::of(build()); }));
 }
 
 template <class PlanT>

@@ -18,7 +18,8 @@
 // Values: the library PlanCache hands out full ExecutionPlans (per-job
 // cuts, order and stage lanes: 64 B per job).  The serve cache,
 // ShardedPlanCache, hands out fixed-size PlanDecisions: a reply needs only
-// the cut mix and makespan, so a miss's full plan is freed once reduced.
+// the cut mix and makespan.  jps_serve inserts core::decide's decisions
+// and never uses the curve table, so the serve cache holds no curves.
 #pragma once
 
 #include <atomic>
@@ -73,30 +74,6 @@ struct PlanCacheKey {
   friend bool operator==(const PlanCacheKey&, const PlanCacheKey&) = default;
 };
 
-/// A served plan reduced to the decision the wire reply carries.  Thm 5.3
-/// (DESIGN.md): every LO/CO/PO/JPS/JPS*/JPS+ answer uses at most two cut
-/// types, so one PlanSweep point describes it: the first n_a scheduled jobs
-/// sit at cut_a and the rest at cut_b; a pure plan has cut_a == cut_b and
-/// n_a == 0.  The job count is not stored: it is the n_jobs of the key the
-/// decision is cached under, so the two can never disagree.
-struct PlanDecision {
-  std::uint32_t cut_a = 0;
-  std::uint32_t cut_b = 0;
-  std::uint32_t n_a = 0;
-  double predicted_makespan = 0.0;
-
-  /// The decision of `plan`.  JPS_ENSUREs at most two distinct cuts, with
-  /// every cut_a job scheduled before every cut_b job.
-  [[nodiscard]] static PlanDecision of(const ExecutionPlan& plan);
-
-  /// The (cut, count) mix of `n_jobs` jobs, ascending by cut and without
-  /// empty entries: at most two pairs, counts summing to n_jobs.
-  /// Precondition: n_a <= n_jobs.
-  [[nodiscard]] std::vector<CutMix> mix(int n_jobs) const;
-
-  friend bool operator==(const PlanDecision&, const PlanDecision&) = default;
-};
-
 /// Hit/miss counters of a plan cache (both tables).
 struct PlanCacheStats {
   std::uint64_t curve_hits = 0;
@@ -146,6 +123,8 @@ class BasicPlanCache {
   using PlanKeyHash = PlanCacheKeyHash;
   using CurveBuilder = std::function<partition::ProfileCurve()>;
   using PlanBuilder = std::function<ExecutionPlan()>;
+  /// Builds the stored value itself (a PlanBuilder for PlanCache).
+  using ValueBuilder = std::function<PlanT()>;
   /// One exported plan-table entry (snapshot format, tests).
   using PlanEntry = std::pair<PlanCacheKey, std::shared_ptr<const PlanT>>;
 
@@ -158,11 +137,15 @@ class BasicPlanCache {
   [[nodiscard]] std::shared_ptr<const partition::ProfileCurve> curve(
       const CurveCacheKey& key, const CurveBuilder& build);
 
-  /// The plan for `key`, building it with `build` on a miss.  A
-  /// PlanDecision table keeps PlanDecision::of the built plan, which is
-  /// then freed.
+  /// The plan for `key`, building it with `build` on a miss.
   [[nodiscard]] std::shared_ptr<const PlanT> plan(const PlanCacheKey& key,
-                                                  const PlanBuilder& build);
+                                                  const ValueBuilder& build);
+
+  /// A PlanDecision table built from full plans: keeps PlanDecision::of
+  /// the built plan, which is then freed.
+  [[nodiscard]] std::shared_ptr<const PlanT> plan(const PlanCacheKey& key,
+                                                  const PlanBuilder& build)
+    requires(!std::same_as<PlanT, ExecutionPlan>);
 
   /// The cached plan for `key`, or nullptr; never builds.  Counts a plan
   /// hit on success and nothing on a miss, so a caller that falls back to

@@ -35,7 +35,132 @@ int jobs_at_l_minus(double surplus, double deficit, int n) {
   return std::clamp(n1, 0, n);
 }
 
+// PO's cut: the first argmin of single-job latency f + g.
+std::size_t lane_po_cut(std::span<const double> f, std::span<const double> g) {
+  std::size_t best = 0;
+  double best_latency = std::numeric_limits<double>::infinity();
+  for (std::size_t i = 0; i < f.size(); ++i) {
+    const double latency = f[i] + g[i];
+    if (latency < best_latency) {
+      best_latency = latency;
+      best = i;
+    }
+  }
+  return best;
+}
+
+// Andrew's monotone chain, lower hull only.  Cuts are sorted by ascending
+// f; ties in f keep the later (smaller-g) point via <= pops.
+void lane_lower_hull(std::span<const double> f, std::span<const double> g,
+                     std::vector<std::size_t>& hull) {
+  const auto cross = [&](std::size_t o, std::size_t a, std::size_t b) {
+    return (f[a] - f[o]) * (g[b] - g[o]) - (g[a] - g[o]) * (f[b] - f[o]);
+  };
+  hull.clear();
+  for (std::size_t i = 0; i < f.size(); ++i) {
+    while (hull.size() >= 2 &&
+           cross(hull[hull.size() - 2], hull.back(), i) <= 0.0) {
+      hull.pop_back();
+    }
+    hull.push_back(i);
+  }
+}
+
+// The one emitter of planner telemetry: `plan` runs under the planner.plan
+// span, counted once in planner.plans, and returns its makespan.
+template <class PlanFn>
+void traced_plan(Strategy strategy, int n_jobs, const std::string& model,
+                 PlanFn&& plan) {
+  static obs::Counter& plans = obs::counter("planner.plans");
+  plans.add();
+  obs::Span span("planner.plan", "core");
+  span.arg("strategy", strategy_name(strategy));
+  span.arg("n_jobs", std::to_string(n_jobs));
+  span.arg("model", model);
+  const double makespan = plan();
+  span.arg("makespan_ms", makespan);
+  JPS_ENSURE(std::isfinite(makespan) && makespan >= 0.0,
+             "predicted makespan must be finite and non-negative");
+}
+
+// decide() without the makespan, which Planner::plan does not need:
+// assemble_plan evaluates its full job list anyway.
+PlanDecision decide_cuts(Strategy strategy, int n_jobs,
+                         std::span<const double> f, std::span<const double> g) {
+  if (n_jobs < 1) throw std::invalid_argument("core::decide: n_jobs < 1");
+  JPS_REQUIRE(!f.empty() && f.size() == g.size(),
+              "a decision needs non-empty f and g lanes of equal length");
+  std::size_t a = 0;
+  std::size_t b = 0;
+  int n_a = 0;
+  switch (strategy) {
+    case Strategy::kLocalOnly:
+      a = b = f.size() - 1;
+      break;
+    case Strategy::kCloudOnly:  // a = b = 0
+      break;
+    case Strategy::kPartitionOnly:
+      a = b = lane_po_cut(f, g);
+      break;
+    case Strategy::kJPS:
+    case Strategy::kJPSTuned: {
+      // Alg. 2's pair (l*-1, l*): JPS splits it by the Theorem 5.3 balance,
+      // JPS* sweeps the split exactly.
+      a = b = partition::l_star_index(f, g);
+      if (b == 0) break;
+      a = b - 1;
+      n_a = strategy == Strategy::kJPS
+                ? jobs_at_l_minus(f[b] - g[b], g[a] - f[a], n_jobs)
+                : best_two_type_split(f[a], g[a], f[b], g[b], n_jobs);
+      break;
+    }
+    case Strategy::kJPSHull: {
+      // Mixing pair = the lower-hull-adjacent cuts bracketing f = g.  The
+      // buffer is reused across calls (plan_sweep makes one per point).
+      thread_local std::vector<std::size_t> hull;
+      lane_lower_hull(f, g, hull);
+      // The first hull cut with f >= g (the last hull cut if none).
+      const auto balanced = std::find_if(
+          hull.begin(), hull.end() - 1,
+          [&](std::size_t i) { return f[i] >= g[i]; });
+      const auto pos = static_cast<std::size_t>(balanced - hull.begin());
+      a = b = hull[pos];
+      if (pos == 0) break;
+      a = hull[pos - 1];
+      n_a = best_two_type_split(f[a], g[a], f[b], g[b], n_jobs);
+      break;
+    }
+    case Strategy::kBruteForce:
+    case Strategy::kRobust:
+      throw std::invalid_argument(
+          "core::decide: strategy is not O(cuts); BF needs Planner::plan, "
+          "robust plans a bandwidth interval (core::RobustPlanner)");
+  }
+  // Canonical form: a mix with an empty side is the pure plan of the other.
+  if (n_a == 0) a = b;
+  if (n_a == n_jobs) {
+    b = a;
+    n_a = 0;
+  }
+  return PlanDecision{.cut_a = static_cast<std::uint32_t>(a),
+                      .cut_b = static_cast<std::uint32_t>(b),
+                      .n_a = static_cast<std::uint32_t>(n_a)};
+}
+
 }  // namespace
+
+PlanDecision decide(Strategy strategy, int n_jobs, std::span<const double> f,
+                    std::span<const double> g) {
+  PlanDecision d = decide_cuts(strategy, n_jobs, f, g);
+  // On a monotone curve cut a's jobs are comm-heavy and cut b's are not, so
+  // the Johnson order is "all a-jobs, then all b-jobs" and the exact
+  // recurrence over the two runs reproduces assemble_plan's
+  // flowshop2_makespan bit for bit.
+  const int n_a = static_cast<int>(d.n_a);
+  d.predicted_makespan = sched::two_type_flowshop2_makespan(
+      f[d.cut_a], g[d.cut_a], n_a, f[d.cut_b], g[d.cut_b], n_jobs - n_a);
+  return d;
+}
 
 const char* strategy_name(Strategy s) {
   switch (s) {
@@ -81,6 +206,51 @@ ExecutionPlan assemble_plan(const partition::ProfileCurve& curve,
   return plan;
 }
 
+PlanDecision PlanDecision::of(const ExecutionPlan& plan) {
+  PlanDecision d;
+  d.predicted_makespan = plan.predicted_makespan;
+  if (plan.jobs.empty()) return d;
+  const auto cut_is = [](std::size_t cut) {
+    return [cut](const JobAssignment& job) { return job.cut_index == cut; };
+  };
+  const std::size_t first = plan.jobs.front().cut_index;
+  const auto split =
+      std::find_if_not(plan.jobs.begin(), plan.jobs.end(), cut_is(first));
+  const std::size_t second = split == plan.jobs.end() ? first
+                                                      : split->cut_index;
+  JPS_ENSURE(std::all_of(split, plan.jobs.end(), cut_is(second)),
+             "a served plan has at most two cut types, cut_a's jobs first "
+             "(Thm 5.3)");
+  d.cut_a = static_cast<std::uint32_t>(first);
+  d.cut_b = static_cast<std::uint32_t>(second);
+  d.n_a = first == second
+              ? 0
+              : static_cast<std::uint32_t>(split - plan.jobs.begin());
+  return d;
+}
+
+std::vector<CutMix> PlanDecision::mix(int n_jobs) const {
+  JPS_REQUIRE(n_jobs >= 0 && n_a <= static_cast<std::uint32_t>(n_jobs),
+              "a decision's n_a cannot exceed its key's n_jobs");
+  const auto n = static_cast<std::uint32_t>(n_jobs);
+  if (cut_a == cut_b || n_a == n) return {{cut_a, n}};
+  if (n_a == 0) return {{cut_b, n}};
+  if (cut_a < cut_b) return {{cut_a, n_a}, {cut_b, n - n_a}};
+  return {{cut_b, n - n_a}, {cut_a, n_a}};
+}
+
+PlanDecision decide_traced(Strategy strategy, int n_jobs,
+                           std::span<const double> f,
+                           std::span<const double> g,
+                           const std::string& model) {
+  PlanDecision decision;
+  traced_plan(strategy, n_jobs, model, [&] {
+    decision = decide(strategy, n_jobs, f, g);
+    return decision.predicted_makespan;
+  });
+  return decision;
+}
+
 Planner::Planner(partition::ProfileCurve curve, PlannerOptions options)
     : curve_(std::move(curve)), options_(options) {
   JPS_REQUIRE(curve_.size() >= 1, "a plannable curve has at least one cut");
@@ -88,33 +258,12 @@ Planner::Planner(partition::ProfileCurve curve, PlannerOptions options)
 }
 
 std::size_t Planner::single_job_optimal_cut() const {
-  std::size_t best = 0;
-  double best_latency = std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < curve_.size(); ++i) {
-    const double latency = curve_.f(i) + curve_.g(i);
-    if (latency < best_latency) {
-      best_latency = latency;
-      best = i;
-    }
-  }
-  return best;
+  return lane_po_cut(curve_.f_lane(), curve_.g_lane());
 }
 
 std::vector<std::size_t> Planner::lower_hull_cuts() const {
-  // Andrew's monotone chain, lower hull only.  Cuts are already sorted by
-  // ascending f; ties in f keep the later (smaller-g) point via <= pops.
-  const auto cross = [&](std::size_t o, std::size_t a, std::size_t b) {
-    return (curve_.f(a) - curve_.f(o)) * (curve_.g(b) - curve_.g(o)) -
-           (curve_.g(a) - curve_.g(o)) * (curve_.f(b) - curve_.f(o));
-  };
   std::vector<std::size_t> hull;
-  for (std::size_t i = 0; i < curve_.size(); ++i) {
-    while (hull.size() >= 2 &&
-           cross(hull[hull.size() - 2], hull.back(), i) <= 0.0) {
-      hull.pop_back();
-    }
-    hull.push_back(i);
-  }
+  lane_lower_hull(curve_.f_lane(), curve_.g_lane(), hull);
   return hull;
 }
 
@@ -196,102 +345,18 @@ int best_two_type_split(double f_a, double g_a, double f_b, double g_b,
   return best_split;
 }
 
-ExecutionPlan Planner::best_split_plan(Strategy strategy, std::size_t a,
-                                       std::size_t b, int n_jobs) const {
-  // The curve is monotone and a < b, so f(a) <= f(b) and g(a) >= g(b): the
-  // Johnson order of any mix is "all a-jobs before all b-jobs" (a-jobs win
-  // S1's ascending-f and S2's descending-g tie-breaks alike).  That fixed
-  // order makes each candidate split O(1) to evaluate, and the whole sweep
-  // O(n) instead of the former O(n^2 log n) of one finalize() per split.
-  const int n_a = best_two_type_split(curve_.f(a), curve_.g(a), curve_.f(b),
-                                      curve_.g(b), n_jobs);
-  std::vector<std::size_t> cuts(static_cast<std::size_t>(n_jobs), b);
-  for (int i = 0; i < n_a; ++i) cuts[static_cast<std::size_t>(i)] = a;
-  return finalize(strategy, cuts);
-}
-
-ExecutionPlan Planner::finalize(Strategy strategy,
-                                const std::vector<std::size_t>& cuts) const {
-  return assemble_plan(curve_, strategy, cuts);
-}
-
 ExecutionPlan Planner::plan(Strategy strategy, int n_jobs) const {
   if (n_jobs < 1) throw std::invalid_argument("Planner::plan: n_jobs < 1");
-  static obs::Counter& plans = obs::counter("planner.plans");
-  plans.add();
-  obs::Span span("planner.plan", "core");
-  span.arg("strategy", strategy_name(strategy));
-  span.arg("n_jobs", std::to_string(n_jobs));
-  span.arg("model", curve_.model_name());
-  ExecutionPlan plan = plan_impl(strategy, n_jobs);
-  span.arg("makespan_ms", plan.predicted_makespan);
-  JPS_ENSURE(plan.jobs.size() == static_cast<std::size_t>(n_jobs),
-             "every requested job must be scheduled");
-  JPS_ENSURE(std::isfinite(plan.predicted_makespan) &&
-                 plan.predicted_makespan >= 0.0,
-             "predicted makespan must be finite and non-negative");
-  return plan;
-}
-
-ExecutionPlan Planner::plan_impl(Strategy strategy, int n_jobs) const {
-  const auto start = Clock::now();
-  const auto n = static_cast<std::size_t>(n_jobs);
-
-  std::vector<std::size_t> cuts(n, 0);
-  switch (strategy) {
-    case Strategy::kLocalOnly:
-      std::fill(cuts.begin(), cuts.end(), curve_.local_only_index());
-      break;
-    case Strategy::kCloudOnly:
-      std::fill(cuts.begin(), cuts.end(), curve_.cloud_only_index());
-      break;
-    case Strategy::kPartitionOnly:
-      std::fill(cuts.begin(), cuts.end(), single_job_optimal_cut());
-      break;
-    case Strategy::kJPS: {
-      const std::size_t l_star = decision_.l_star;
-      std::fill(cuts.begin(), cuts.end(), l_star);
-      if (decision_.l_minus) {
-        const double surplus = curve_.f(l_star) - curve_.g(l_star);
-        const double deficit =
-            curve_.g(*decision_.l_minus) - curve_.f(*decision_.l_minus);
-        const int n_minus = jobs_at_l_minus(surplus, deficit, n_jobs);
-        for (int i = 0; i < n_minus; ++i)
-          cuts[static_cast<std::size_t>(i)] = *decision_.l_minus;
-      }
-      break;
-    }
-    case Strategy::kJPSTuned: {
-      // The paper's pair (l*-1, l*) with the split swept exactly.
-      if (!decision_.l_minus) {
-        std::fill(cuts.begin(), cuts.end(), decision_.l_star);
-        break;
-      }
-      ExecutionPlan p = best_split_plan(strategy, *decision_.l_minus,
-                                        decision_.l_star, n_jobs);
-      p.decision_overhead_ms = ms_since(start);
-      return p;
-    }
-    case Strategy::kJPSHull: {
-      // Mixing pair = the lower-hull-adjacent cuts bracketing f = g.
-      const std::vector<std::size_t> hull = lower_hull_cuts();
-      std::size_t pos = hull.size() - 1;  // first hull cut with f >= g
-      for (std::size_t i = 0; i < hull.size(); ++i) {
-        if (curve_.f(hull[i]) >= curve_.g(hull[i])) {
-          pos = i;
-          break;
-        }
-      }
-      if (pos == 0) {
-        std::fill(cuts.begin(), cuts.end(), hull.front());
-        break;
-      }
-      ExecutionPlan p =
-          best_split_plan(strategy, hull[pos - 1], hull[pos], n_jobs);
-      p.decision_overhead_ms = ms_since(start);
-      return p;
-    }
-    case Strategy::kBruteForce: {
+  ExecutionPlan plan;
+  traced_plan(strategy, n_jobs, curve_.model_name(), [&] {
+    const auto start = Clock::now();
+    std::vector<std::size_t> cuts;
+    if (strategy != Strategy::kBruteForce) {  // decide() refuses kRobust
+      const PlanDecision d =
+          decide_cuts(strategy, n_jobs, curve_.f_lane(), curve_.g_lane());
+      cuts.assign(static_cast<std::size_t>(n_jobs), d.cut_b);
+      std::fill_n(cuts.begin(), d.n_a, d.cut_a);
+    } else {
       const std::vector<sched::CutOption> options = curve_.as_cut_options();
       sched::BruteForceResult result;
       try {
@@ -299,144 +364,16 @@ ExecutionPlan Planner::plan_impl(Strategy strategy, int n_jobs) const {
       } catch (const std::invalid_argument&) {
         result = sched::bruteforce_two_type(options, n_jobs);
       }
-      for (std::size_t i = 0; i < n; ++i)
-        cuts[i] = static_cast<std::size_t>(result.cuts[i]);
-      break;
+      cuts.assign(result.cuts.begin(), result.cuts.end());
     }
-    case Strategy::kRobust:
-      throw std::invalid_argument(
-          "Planner::plan: robust plans need a bandwidth interval; use "
-          "core::RobustPlanner");
-  }
-
-  ExecutionPlan plan = finalize(strategy, cuts);
-  plan.decision_overhead_ms = ms_since(start);
+    plan = assemble_plan(curve_, strategy, cuts);
+    plan.decision_overhead_ms = ms_since(start);
+    return plan.predicted_makespan;
+  });
+  JPS_ENSURE(plan.jobs.size() == static_cast<std::size_t>(n_jobs),
+             "every requested job must be scheduled");
   return plan;
 }
-
-namespace {
-
-/// One sweep point's decision: the two-type mix (a, b, n_a).
-struct SweepDecision {
-  std::size_t cut_a = 0;
-  std::size_t cut_b = 0;
-  int n_a = 0;
-};
-
-// The scalar planner's decision logic re-expressed over (f, g) lanes.  Each
-// helper mirrors its ProfileCurve/Planner counterpart operation-for-
-// operation so the sweep's choices match the per-point scalar path exactly
-// (the plan_sweep differential suite pins this).
-
-// binary_search_cut's loop: leftmost index with f >= g on a monotone curve.
-std::size_t lane_l_star(std::span<const double> f, std::span<const double> g) {
-  std::size_t lo = 0;
-  std::size_t hi = f.size() - 1;
-  while (lo < hi) {
-    const std::size_t mid = (lo + hi) / 2;
-    if (f[mid] < g[mid]) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  return lo;
-}
-
-// Planner::single_job_optimal_cut: first argmin of f + g.
-std::size_t lane_po_cut(std::span<const double> f, std::span<const double> g) {
-  std::size_t best = 0;
-  double best_latency = std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < f.size(); ++i) {
-    const double latency = f[i] + g[i];
-    if (latency < best_latency) {
-      best_latency = latency;
-      best = i;
-    }
-  }
-  return best;
-}
-
-// Planner::lower_hull_cuts: Andrew's monotone chain, lower hull only.
-void lane_lower_hull(std::span<const double> f, std::span<const double> g,
-                     std::vector<std::size_t>& hull) {
-  const auto cross = [&](std::size_t o, std::size_t a, std::size_t b) {
-    return (f[a] - f[o]) * (g[b] - g[o]) - (g[a] - g[o]) * (f[b] - f[o]);
-  };
-  hull.clear();
-  for (std::size_t i = 0; i < f.size(); ++i) {
-    while (hull.size() >= 2 &&
-           cross(hull[hull.size() - 2], hull.back(), i) <= 0.0) {
-      hull.pop_back();
-    }
-    hull.push_back(i);
-  }
-}
-
-SweepDecision lane_decide(Strategy strategy, int n_jobs,
-                          std::span<const double> f, std::span<const double> g,
-                          std::vector<std::size_t>& hull_scratch) {
-  SweepDecision d;
-  switch (strategy) {
-    case Strategy::kLocalOnly:
-      d.cut_a = d.cut_b = f.size() - 1;
-      break;
-    case Strategy::kCloudOnly:
-      d.cut_a = d.cut_b = 0;
-      break;
-    case Strategy::kPartitionOnly:
-      d.cut_a = d.cut_b = lane_po_cut(f, g);
-      break;
-    case Strategy::kJPS: {
-      const std::size_t l_star = lane_l_star(f, g);
-      d.cut_a = d.cut_b = l_star;
-      if (l_star > 0) {
-        d.cut_a = l_star - 1;
-        const double surplus = f[l_star] - g[l_star];
-        const double deficit = g[l_star - 1] - f[l_star - 1];
-        d.n_a = jobs_at_l_minus(surplus, deficit, n_jobs);
-      }
-      break;
-    }
-    case Strategy::kJPSTuned: {
-      const std::size_t l_star = lane_l_star(f, g);
-      d.cut_a = d.cut_b = l_star;
-      if (l_star > 0) {
-        d.cut_a = l_star - 1;
-        d.n_a = best_two_type_split(f[d.cut_a], g[d.cut_a], f[d.cut_b],
-                                    g[d.cut_b], n_jobs);
-      }
-      break;
-    }
-    case Strategy::kJPSHull: {
-      lane_lower_hull(f, g, hull_scratch);
-      std::size_t pos = hull_scratch.size() - 1;
-      for (std::size_t i = 0; i < hull_scratch.size(); ++i) {
-        if (f[hull_scratch[i]] >= g[hull_scratch[i]]) {
-          pos = i;
-          break;
-        }
-      }
-      if (pos == 0) {
-        d.cut_a = d.cut_b = hull_scratch.front();
-        break;
-      }
-      d.cut_a = hull_scratch[pos - 1];
-      d.cut_b = hull_scratch[pos];
-      d.n_a = best_two_type_split(f[d.cut_a], g[d.cut_a], f[d.cut_b],
-                                  g[d.cut_b], n_jobs);
-      break;
-    }
-    case Strategy::kBruteForce:
-    case Strategy::kRobust:
-      throw std::invalid_argument(
-          "Planner::plan_sweep: strategy is not O(cuts) per point; use "
-          "plan() / RobustPlanner");
-  }
-  return d;
-}
-
-}  // namespace
 
 PlanSweep Planner::plan_sweep(Strategy strategy, int n_jobs,
                               std::span<const double> bandwidths,
@@ -476,7 +413,6 @@ PlanSweep Planner::plan_sweep(Strategy strategy, int n_jobs,
   sweep.n_a.resize(bandwidths.size());
 
   std::vector<double> g(cuts);  // per-point comm lane, reused across points
-  std::vector<std::size_t> hull_scratch;
   for (std::size_t p = 0; p < bandwidths.size(); ++p) {
     // Re-derive g at this rate exactly as ProfileCurve::with_bandwidth does
     // (same Channel::time_ms call on the same bytes), so every comparison
@@ -493,16 +429,11 @@ PlanSweep Planner::plan_sweep(Strategy strategy, int n_jobs,
             "Planner::plan_sweep: curve is not monotone at this bandwidth; "
             "cluster it first");
     }
-    const SweepDecision d = lane_decide(strategy, n_jobs, f, g, hull_scratch);
+    const PlanDecision d = decide(strategy, n_jobs, f, g);
     sweep.cut_a[p] = d.cut_a;
     sweep.cut_b[p] = d.cut_b;
-    sweep.n_a[p] = d.n_a;
-    // The Johnson order of any such mix is "all a-jobs before all b-jobs"
-    // (see best_split_plan), so the exact recurrence over the two runs
-    // reproduces finalize()'s flowshop2_makespan bit-for-bit.
-    sweep.makespan_ms[p] = sched::two_type_flowshop2_makespan(
-        f[d.cut_a], g[d.cut_a], d.n_a, f[d.cut_b], g[d.cut_b],
-        n_jobs - d.n_a);
+    sweep.n_a[p] = static_cast<int>(d.n_a);
+    sweep.makespan_ms[p] = d.predicted_makespan;
   }
   return sweep;
 }
@@ -515,8 +446,7 @@ ExecutionPlan Planner::materialize(const PlanSweep& sweep, std::size_t k,
       curve_.with_bandwidth(channel, sweep.bandwidth_mbps[k]);
   std::vector<std::size_t> cuts(static_cast<std::size_t>(sweep.n_jobs),
                                 sweep.cut_b[k]);
-  for (int i = 0; i < sweep.n_a[k]; ++i)
-    cuts[static_cast<std::size_t>(i)] = sweep.cut_a[k];
+  std::fill_n(cuts.begin(), sweep.n_a[k], sweep.cut_a[k]);
   ExecutionPlan plan = assemble_plan(rebased, sweep.strategy, cuts);
   JPS_ENSURE(plan.predicted_makespan == sweep.makespan_ms[k],
              "materialized plan must reproduce the sweep makespan "

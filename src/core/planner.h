@@ -29,6 +29,7 @@
 
 #include <cstdint>
 #include <span>
+#include <string>
 
 #include "core/plan.h"
 #include "net/channel.h"
@@ -56,10 +57,10 @@ struct PlannerOptions {
 /// critical-path term is linear in i, so interior positions never dominate
 /// their run's endpoints).  For an arbitrary job order interior terms can
 /// dominate — evaluate sched::closed_form_makespan (the full identity)
-/// instead.  The planner only calls this from best_split_plan, whose
-/// Johnson order on a monotone curve guarantees the shape; the differential
-/// tests in tests/core/planner_test.cpp cross-check the resulting plans
-/// against the discrete-event simulator.
+/// instead.  The planner only calls this from best_two_type_split, whose
+/// pair on a monotone curve guarantees the shape; the differential tests in
+/// tests/core/planner_test.cpp cross-check the resulting plans against the
+/// discrete-event simulator.
 ///
 /// An empty run is ignored entirely: its (f, g) pair is never read, so a
 /// degenerate cut (e.g. an infinite g from a zero-bandwidth probe) offered
@@ -88,20 +89,37 @@ void two_type_makespan_batch(double f_a, std::span<const double> g_a,
                                       double g_b, int n_jobs);
 
 /// Assemble, Johnson-order and evaluate a plan from per-job cut indices
-/// into `curve`.  Shared by Planner::finalize, the robust planner and the
+/// into `curve`.  Shared by Planner::plan, the robust planner and the
 /// fault-aware replanning hook.
 [[nodiscard]] ExecutionPlan assemble_plan(const partition::ProfileCurve& curve,
                                           Strategy strategy,
                                           const std::vector<std::size_t>& cuts);
 
-/// Structure-of-arrays result of Planner::plan_sweep: lane entry k is the
-/// plan decision at bandwidth_mbps[k].  Every strategy this planner family
-/// produces is a two-cut-type mix, so (cut_a, cut_b, n_a) describes a whole
-/// plan: the first n_a jobs sit at cut_a, the remaining n_jobs - n_a at
-/// cut_b (cut_a == cut_b with n_a == 0 for a pure plan).  makespan_ms[k]
-/// is bit-identical to what Planner(curve.with_bandwidth(channel, b_k))
-/// .plan(strategy, n_jobs).predicted_makespan would compute; use
-/// Planner::materialize to expand a lane into that full ExecutionPlan.
+/// The decision kernel, the one implementation of the LO/CO/PO/JPS/JPS*/
+/// JPS+ rules: the PlanDecision (canonical form) for n_jobs jobs on one
+/// curve's (f, g) lanes, with the makespan of the Johnson order "all cut_a
+/// jobs, then all cut_b jobs".  Planner::plan, Planner::plan_sweep and
+/// jps_serve's misses all call it.  O(cuts + n_jobs) time, O(cuts) memory.
+/// Preconditions: f and g non-empty, equally long and monotone (as a
+/// clustered curve's lanes are).  Throws std::invalid_argument for
+/// n_jobs < 1, BF or ROB.
+[[nodiscard]] PlanDecision decide(Strategy strategy, int n_jobs,
+                                  std::span<const double> f,
+                                  std::span<const double> g);
+
+/// decide() as one planning call, with Planner::plan's telemetry and
+/// contract: the `planner.plans` counter, a `planner.plan` span (strategy,
+/// n_jobs, model, makespan_ms) and a finite, non-negative makespan.
+[[nodiscard]] PlanDecision decide_traced(Strategy strategy, int n_jobs,
+                                         std::span<const double> f,
+                                         std::span<const double> g,
+                                         const std::string& model);
+
+/// Structure-of-arrays result of Planner::plan_sweep: lane entry k is
+/// decide()'s PlanDecision at bandwidth_mbps[k] (the first n_a jobs at
+/// cut_a, the rest at cut_b).  makespan_ms[k] is bit-identical to
+/// Planner(curve.with_bandwidth(channel, b_k)).plan(strategy, n_jobs)
+/// .predicted_makespan; Planner::materialize expands a lane into that plan.
 struct PlanSweep {
   Strategy strategy = Strategy::kJPS;
   int n_jobs = 0;
@@ -119,28 +137,26 @@ class Planner {
   /// The curve must be monotone (built with clustering on).
   explicit Planner(partition::ProfileCurve curve, PlannerOptions options = {});
 
-  /// Plan `n_jobs` identical jobs with the given strategy.
-  /// Throws std::invalid_argument for n_jobs < 1.
+  /// Plan `n_jobs` identical jobs with the given strategy: decide() on the
+  /// curve's lanes, then assemble_plan (BF enumerates instead).
+  /// Throws std::invalid_argument for n_jobs < 1 or kRobust.
   [[nodiscard]] ExecutionPlan plan(Strategy strategy, int n_jobs) const;
 
-  /// Batched bandwidth sweep: decide the plan for `n_jobs` at every rate in
-  /// `bandwidths` in ONE pass over the curve's SoA lanes, without building
-  /// a rebased ProfileCurve, a Planner, or an ExecutionPlan per point.
-  /// `channel` supplies the affine comm model (setup latency, jitter) that
-  /// is re-based to each rate, exactly as ProfileCurve::with_bandwidth
-  /// does, so lane k reproduces
+  /// Batched bandwidth sweep: decide() for `n_jobs` at every rate in
+  /// `bandwidths`, without building a rebased ProfileCurve, a Planner, or
+  /// an ExecutionPlan per point.  `channel` supplies the affine comm model
+  /// (setup latency, jitter) that is re-based to each rate, exactly as
+  /// ProfileCurve::with_bandwidth does, so lane k reproduces
   ///   Planner(curve().with_bandwidth(channel, bandwidths[k]))
   ///       .plan(strategy, n_jobs)
   /// bit-for-bit in cuts, order and makespan (the differential suite in
-  /// tests/core/plan_sweep_test.cpp pins this).  This is the hot path of
-  /// the fig13/fig14 sweeps and any per-request planning service: the f
-  /// and offload-bytes lanes are hoisted once, and each point costs one
-  /// O(cuts + n_jobs) lane scan.
+  /// tests/core/plan_sweep_test.cpp pins this).  The fig13/fig14 hot path:
+  /// the f and offload-bytes lanes are hoisted once, and each point costs
+  /// one O(cuts + n_jobs) lane scan.
   ///
-  /// Supported strategies: LO, CO, PO, JPS, JPS*, JPS+.  Throws
-  /// std::invalid_argument for n_jobs < 1, for kBruteForce/kRobust (they
-  /// are not O(cuts) per point; call plan()/RobustPlanner instead), or for
-  /// a non-finite or non-positive bandwidth.
+  /// Throws std::invalid_argument for n_jobs < 1, BF or ROB (not O(cuts)
+  /// per point; call plan()/RobustPlanner instead), or a non-finite or
+  /// non-positive bandwidth.
   [[nodiscard]] PlanSweep plan_sweep(Strategy strategy, int n_jobs,
                                      std::span<const double> bandwidths,
                                      const net::Channel& channel) const;
@@ -168,18 +184,6 @@ class Planner {
   [[nodiscard]] std::vector<std::size_t> lower_hull_cuts() const;
 
  private:
-  /// Best split of n jobs between cuts `a` and `b` (a < b on the monotone
-  /// curve): O(n) sweep via best_two_type_split, then one finalize().
-  [[nodiscard]] ExecutionPlan best_split_plan(Strategy strategy, std::size_t a,
-                                              std::size_t b, int n_jobs) const;
-
-  /// Assemble, order (Johnson) and evaluate a plan from per-job cut indices.
-  [[nodiscard]] ExecutionPlan finalize(Strategy strategy,
-                                       const std::vector<std::size_t>& cuts) const;
-
-  /// The uninstrumented planning body; plan() wraps it in an obs::Span.
-  [[nodiscard]] ExecutionPlan plan_impl(Strategy strategy, int n_jobs) const;
-
   partition::ProfileCurve curve_;
   PlannerOptions options_;
   partition::CutDecision decision_;

@@ -35,22 +35,29 @@ CutDecision finish(const ProfileCurve& curve, std::size_t l_star,
 
 }  // namespace
 
-CutDecision binary_search_cut(const ProfileCurve& curve) {
-  validate(curve);
+std::size_t l_star_index(std::span<const double> f, std::span<const double> g,
+                         int* iterations) {
   std::size_t lo = 0;
-  std::size_t hi = curve.size() - 1;
-  int iterations = 0;
+  std::size_t hi = f.size() - 1;
   // Invariant: f(hi) >= g(hi); if lo > 0 then f(lo-1) < g(lo-1).
   while (lo < hi) {
-    ++iterations;
+    if (iterations != nullptr) ++*iterations;
     const std::size_t mid = (lo + hi) / 2;
-    if (curve.f(mid) < curve.g(mid)) {
+    if (f[mid] < g[mid]) {
       lo = mid + 1;
     } else {
       hi = mid;
     }
   }
-  return finish(curve, lo, iterations);
+  return lo;
+}
+
+CutDecision binary_search_cut(const ProfileCurve& curve) {
+  validate(curve);
+  int iterations = 0;
+  const std::size_t l_star =
+      l_star_index(curve.f_lane(), curve.g_lane(), &iterations);
+  return finish(curve, l_star, iterations);
 }
 
 CutDecision linear_scan_cut(const ProfileCurve& curve) {

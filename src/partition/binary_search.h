@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 
 #include "partition/profile_curve.h"
 
@@ -29,6 +30,14 @@ struct CutDecision {
   /// Binary-search iterations used (tests assert the O(log k) bound).
   int iterations = 0;
 };
+
+/// Alg. 2's search over monotone (f, g) lanes: the left-most index with
+/// f >= g (the last index when no earlier one qualifies), in O(log k)
+/// probes, counted into `*iterations` when given.  binary_search_cut and
+/// core::decide both search with it.
+[[nodiscard]] std::size_t l_star_index(std::span<const double> f,
+                                       std::span<const double> g,
+                                       int* iterations = nullptr);
 
 /// Run Alg. 2 on a monotone curve.  Throws std::invalid_argument when the
 /// curve is not monotone (cluster it first) or empty.

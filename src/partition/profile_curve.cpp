@@ -1,7 +1,6 @@
 #include "partition/profile_curve.h"
 
 #include <algorithm>
-#include <limits>
 #include <stdexcept>
 
 #include "check/contracts.h"
@@ -107,16 +106,10 @@ ProfileCurve ProfileCurve::from_candidates(std::string model_name,
   curve.model_name_ = std::move(model_name);
 
   if (options.cluster) {
-    // Virtual-block clustering: keep a candidate only if its g is strictly
-    // below every kept cheaper candidate's g.  Cheaper-f candidates come
-    // first, so a running minimum suffices.  The local-only cut (g = 0,
-    // largest f) always survives.
-    double min_g = std::numeric_limits<double>::infinity();
+    // The local-only cut (g = 0, largest f) always survives.
+    VirtualBlockFilter filter;
     for (auto& cand : candidates) {
-      if (cand.g < min_g) {
-        min_g = cand.g;
-        curve.cuts_.push_back(std::move(cand));
-      }
+      if (filter.keep(cand.g)) curve.cuts_.push_back(std::move(cand));
     }
   } else {
     curve.cuts_ = std::move(candidates);
@@ -186,6 +179,38 @@ std::vector<sched::CutOption> ProfileCurve::as_cut_options() const {
   options.reserve(cuts_.size());
   for (const auto& c : cuts_) options.push_back({c.f, c.g});
   return options;
+}
+
+CandidateLanes CandidateLanes::build(const dnn::Graph& graph,
+                                     const profile::LatencyModel& mobile) {
+  // build()'s own candidates, sorted and unclustered.  Their g is derived
+  // again in at(), so any channel serves here.
+  CurveOptions unclustered;
+  unclustered.cluster = false;
+  const ProfileCurve curve =
+      ProfileCurve::build(graph, mobile, net::Channel(1.0), unclustered);
+  CandidateLanes lanes;
+  lanes.f_.assign(curve.f_lane().begin(), curve.f_lane().end());
+  lanes.bytes_.assign(curve.offload_bytes_lane().begin(),
+                      curve.offload_bytes_lane().end());
+  for (std::size_t i = 0; i < curve.size(); ++i)
+    lanes.local_only_.push_back(curve.cut(i).cut_nodes.empty());
+  return lanes;
+}
+
+void CandidateLanes::at(const net::Channel& channel, std::vector<double>& f,
+                        std::vector<double>& g) const {
+  f.clear();
+  g.clear();
+  f.reserve(f_.size());
+  g.reserve(f_.size());
+  VirtualBlockFilter filter;
+  for (std::size_t i = 0; i < f_.size(); ++i) {
+    const double g_i = local_only_[i] ? 0.0 : channel.time_ms(bytes_[i]);
+    if (!filter.keep(g_i)) continue;
+    f.push_back(f_[i]);
+    g.push_back(g_i);
+  }
 }
 
 }  // namespace jps::partition

@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <span>
 #include <string>
 #include <vector>
@@ -52,6 +53,21 @@ struct CutPoint {
 using NodeTimeFn = std::function<double(dnn::NodeId)>;
 /// Returns the uplink transfer time for a payload, ms.
 using CommTimeFn = std::function<double(std::uint64_t bytes)>;
+
+/// Virtual-block clustering (§3.2) as a running filter: feed candidates in
+/// non-decreasing f order, and keep(g) says whether that candidate survives,
+/// i.e. whether its g is strictly below every kept cheaper candidate's g.
+/// The one implementation of the rule, shared by
+/// ProfileCurve::from_candidates and CandidateLanes::at.
+struct VirtualBlockFilter {
+  double min_g = std::numeric_limits<double>::infinity();
+
+  [[nodiscard]] bool keep(double g) {
+    if (!(g < min_g)) return false;
+    min_g = g;
+    return true;
+  }
+};
 
 /// Options for building curves.
 struct CurveOptions {
@@ -181,6 +197,32 @@ class ProfileCurve {
   std::vector<double> g_lane_;
   std::vector<std::uint64_t> bytes_lane_;
   bool monotone_ = true;
+};
+
+/// One model's trunk candidates before any channel is applied: the f,
+/// offload bytes and local-only flag of each, in ProfileCurve::build's
+/// stable f order, unclustered.  at(channel) derives g as build() does and
+/// then clusters, so its lanes equal
+///   ProfileCurve::build(graph, mobile, channel).f_lane() / g_lane()
+/// bit for bit at every bandwidth.  Rebasing one clustered curve
+/// (with_bandwidth) is not equivalent: at extreme rates distinct byte
+/// counts round to one g, and build() then drops cuts the base curve kept.
+class CandidateLanes {
+ public:
+  /// The trunk candidates of `graph` (`graph.infer()` must have run).
+  [[nodiscard]] static CandidateLanes build(
+      const dnn::Graph& graph, const profile::LatencyModel& mobile);
+
+  /// The clustered (f, g) lanes at `channel`, written into `f` and `g`
+  /// (cleared first): the local-only candidate gets g = 0, every other
+  /// candidate channel.time_ms(its bytes), then VirtualBlockFilter.
+  void at(const net::Channel& channel, std::vector<double>& f,
+          std::vector<double>& g) const;
+
+ private:
+  std::vector<double> f_;
+  std::vector<std::uint64_t> bytes_;
+  std::vector<bool> local_only_;
 };
 
 }  // namespace jps::partition

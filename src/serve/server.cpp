@@ -17,7 +17,6 @@
 #include "obs/metrics_export.h"
 #include "obs/obs.h"
 #include "obs/trace_context.h"
-#include "partition/profile_curve.h"
 #include "profile/latency_model.h"
 #include "serve/snapshot.h"
 #include "util/log.h"
@@ -262,29 +261,23 @@ Server::PlanOutcome Server::compute_plan(const core::PlanCacheKey& key) {
         options_.debug_plan_delay_ms));
   }
 
-  std::shared_ptr<const dnn::Graph> graph;
+  std::shared_ptr<const partition::CandidateLanes> lanes;
   {
-    util::MutexLock lock(graphs_mutex_);
-    auto it = graphs_.find(key.model);
-    if (it != graphs_.end()) graph = it->second;
+    util::MutexLock lock(lanes_mutex_);
+    auto it = lanes_.find(key.model);
+    if (it != lanes_.end()) lanes = it->second;
   }
-  if (!graph) {
+  if (!lanes) {
     // models::build throws std::invalid_argument for unknown names; the
     // caller maps that to NOT_FOUND.  Build outside the map lock (graph
-    // construction is the expensive part); last insert wins harmlessly.
+    // construction is the expensive part); first insert wins harmlessly.
     obs::Span graph_span("serve.model_graph", "serve");
-    auto built = std::make_shared<const dnn::Graph>(models::build(key.model));
-    util::MutexLock lock(graphs_mutex_);
-    graph = graphs_.emplace(key.model, std::move(built)).first->second;
+    auto built = std::make_shared<const partition::CandidateLanes>(
+        partition::CandidateLanes::build(
+            models::build(key.model), profile::LatencyModel(options_.device)));
+    util::MutexLock lock(lanes_mutex_);
+    lanes = lanes_.emplace(key.model, std::move(built)).first->second;
   }
-
-  const net::Channel channel(key.bandwidth_mbps);
-  const core::CurveCacheKey curve_key(key.model, key.device,
-                                      key.bandwidth_mbps);
-  auto curve = cache_.curve(curve_key, [&] {
-    const profile::LatencyModel mobile(options_.device);
-    return partition::ProfileCurve::build(*graph, mobile, channel);
-  });
 
   PlanOutcome outcome;
   outcome.bucket_mbps = key.bandwidth_mbps;
@@ -295,7 +288,10 @@ Server::PlanOutcome Server::compute_plan(const core::PlanCacheKey& key) {
     obs::Span cache_span("serve.cache_lookup", "serve");
     outcome.decision = cache_.plan(key, [&] {
       built = true;
-      return core::Planner(*curve).plan(key.strategy, key.n_jobs);
+      std::vector<double> f;
+      std::vector<double> g;
+      lanes->at(net::Channel(key.bandwidth_mbps), f, g);
+      return core::decide_traced(key.strategy, key.n_jobs, f, g, key.model);
     });
     cache_span.arg("hit", built ? "0" : "1");
   }

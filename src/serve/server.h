@@ -10,14 +10,17 @@
 //     are snapped to `bandwidth_bucket_mbps` buckets so nearby estimates
 //     share one answer.  The reply reports the bucket actually planned at.
 //   * Plan caching — completed answers land in a ShardedPlanCache as
-//     fixed-size PlanDecisions (two cuts, a split, the makespan); the full
-//     per-job plan is freed once the miss is answered, so a cached key
-//     costs the same at any n_jobs.  Once a request has passed every gate
-//     (drain, validation, deadlines, tenant admission, breaker), a cached
-//     key is answered right on the connection thread: a lock-striped
-//     lookup, no inflight slot, the reply's mix copied from the decision.
+//     fixed-size PlanDecisions (two cuts, a split, the makespan), so a
+//     cached key costs the same at any n_jobs.  A miss runs core::decide
+//     on the bucket's lanes, derived from the model's CandidateLanes: no
+//     per-bucket curve, no Planner or plan, and nothing kept per bucket
+//     but the decision.
+//     Once a request has passed every gate (drain, validation, deadlines,
+//     tenant admission, breaker), a cached key is answered right on the
+//     connection thread: a lock-striped lookup, no inflight slot, the
+//     reply's mix copied from the decision.
 //   * Request coalescing — concurrent cache MISSES for the same (model,
-//     strategy, n_jobs, bucket) share ONE Planner run via a shared_future
+//     strategy, n_jobs, bucket) share ONE decision via a shared_future
 //     map keyed by the cache key: the first arrival (the leader) plans on
 //     its own thread, no lock held, and fulfils that future for everyone
 //     else.
@@ -75,7 +78,8 @@
 // Replies are bit-identical to a direct
 //   Planner(ProfileCurve::build(models::build(m), LatencyModel(device),
 //                               Channel(bucket))).plan(strategy, n)
-// — the serve layer adds routing, never arithmetic.  Metrics: see
+// — the serve layer adds routing, never arithmetic (CandidateLanes::at
+// reproduces that curve's lanes bit for bit).  Metrics: see
 // docs/SERVING.md for the instrument table.
 #pragma once
 
@@ -89,6 +93,7 @@
 #include <vector>
 
 #include "core/plan_cache.h"
+#include "partition/profile_curve.h"
 #include "profile/device.h"
 #include "serve/admission.h"
 #include "serve/breaker.h"
@@ -130,7 +135,7 @@ struct ServerOptions {
   std::string snapshot_path;
   /// > 0: additionally save the snapshot every this-many ms while running.
   double snapshot_interval_ms = 0.0;
-  /// Test hook: artificial delay inside each Planner run (ms).  Lets tests
+  /// Test hook: artificial delay inside each miss's decision (ms).  Lets tests
   /// hold a leader's computation open deterministically to observe
   /// coalescing and overload shedding.  0 in production.
   double debug_plan_delay_ms = 0.0;
@@ -236,7 +241,8 @@ class Server {
   [[nodiscard]] TraceDumpReply build_trace_dump(std::uint32_t max_traces);
   /// The server's live metrics snapshot for a kStats frame.
   [[nodiscard]] StatsReply build_stats_reply();
-  /// The Planner run (graph -> curve -> plan) behind every leader.
+  /// The decision behind every leader: the model's lanes at the key's
+  /// bucket, then core::decide_traced.
   [[nodiscard]] PlanOutcome compute_plan(const core::PlanCacheKey& key);
   /// The reply for `outcome`'s decision, its cut mix spread over n_jobs.
   [[nodiscard]] PlanReply to_reply(const PlanOutcome& outcome,
@@ -275,11 +281,12 @@ class Server {
   util::Mutex snapshot_mutex_{"serve.server.snapshot"};
   util::CondVar snapshot_cv_;
 
-  // Built model graphs, one per model name (graph construction + shape
-  // inference is far more expensive than a map lookup).
-  util::Mutex graphs_mutex_{"serve.server.graphs"};
-  std::unordered_map<std::string, std::shared_ptr<const dnn::Graph>> graphs_
-      JPS_GUARDED_BY(graphs_mutex_);
+  // Each model's candidate lanes, built on its first miss; the model's
+  // graph is dropped once they are built.
+  util::Mutex lanes_mutex_{"serve.server.lanes"};
+  std::unordered_map<std::string,
+                     std::shared_ptr<const partition::CandidateLanes>>
+      lanes_ JPS_GUARDED_BY(lanes_mutex_);
 
   // Coalescing: cache key -> the pending leader's shared future.  Only cache
   // misses enter it; its size is the backpressure bound.  stop() waits on

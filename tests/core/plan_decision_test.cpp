@@ -1,11 +1,16 @@
 // PlanDecision: the fixed-size value the serve cache stores in place of a
 // full ExecutionPlan.  The reply a client sees is derived from it, so every
 // servable plan's decision is checked against a reference derived from the
-// full plan: plan.jobs walked into an ordered (cut -> count) map.
+// full plan: plan.jobs walked into an ordered (cut -> count) map.  The
+// decision kernel core::decide, which serve misses run without building a
+// plan, must return exactly PlanDecision::of that plan.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <map>
+#include <span>
+#include <stdexcept>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -56,6 +61,17 @@ TEST_P(PlanDecisionZoo, ReproducesTheMixOfEveryServablePlan) {
                      std::to_string(n_jobs));
         ASSERT_EQ(mix, mix_from_jobs(plan));
         EXPECT_EQ(decision.predicted_makespan, plan.predicted_makespan);
+        // The kernel on the curve's lanes: every field, canonical form and
+        // makespan bits included.
+        const PlanDecision kernel =
+            decide(strategy, n_jobs, planner.curve().f_lane(),
+                   planner.curve().g_lane());
+        EXPECT_EQ(kernel.cut_a, decision.cut_a);
+        EXPECT_EQ(kernel.cut_b, decision.cut_b);
+        EXPECT_EQ(kernel.n_a, decision.n_a);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(kernel.predicted_makespan),
+                  std::bit_cast<std::uint64_t>(decision.predicted_makespan));
+        EXPECT_TRUE(kernel.n_a > 0 || kernel.cut_a == kernel.cut_b);
         ASSERT_GE(mix.size(), 1u);
         ASSERT_LE(mix.size(), 2u);
         std::uint64_t total = 0;
@@ -119,6 +135,32 @@ TEST(PlanDecision, RefusesPlansThatAreNotTwoContiguousCutTypes) {
   ExecutionPlan interleaved;
   interleaved.jobs = {{0, 1}, {1, 2}, {2, 1}};
   EXPECT_THROW((void)PlanDecision::of(interleaved), check::ContractViolation);
+}
+
+TEST(PlanDecision, DecideRefusesWhatIsNotAServableAsk) {
+  const std::vector<double> f = {0.0, 4.0, 9.0};
+  const std::vector<double> g = {8.0, 3.0, 0.0};
+  EXPECT_THROW((void)decide(Strategy::kJPS, 0, f, g), std::invalid_argument);
+  EXPECT_THROW((void)decide(Strategy::kBruteForce, 4, f, g),
+               std::invalid_argument);
+  EXPECT_THROW((void)decide(Strategy::kRobust, 4, f, g),
+               std::invalid_argument);
+  EXPECT_THROW((void)decide(Strategy::kJPS, 4, std::span<const double>(),
+                            std::span<const double>()),
+               check::ContractViolation);
+}
+
+TEST(PlanDecision, DecideWritesOneSidedMixesInCanonicalForm) {
+  // Alg. 2's pair is (0, 1), but one job cannot be split: JPS* puts it at
+  // cut 1, and the empty cut-0 side is folded away.  LO is pure anyway.
+  const std::vector<double> f = {0.0, 4.0, 9.0};
+  const std::vector<double> g = {8.0, 3.0, 0.0};
+  const PlanDecision one = decide(Strategy::kJPSTuned, 1, f, g);
+  EXPECT_EQ(one.cut_a, one.cut_b);
+  EXPECT_EQ(one.n_a, 0u);
+  EXPECT_EQ(one.predicted_makespan, 7.0);  // f = 4 then g = 3
+  const PlanDecision lo = decide(Strategy::kLocalOnly, 3, f, g);
+  EXPECT_EQ(lo, (PlanDecision{2, 2, 0, 27.0}));
 }
 
 TEST(PlanDecision, MixRefusesMoreCutAJobsThanTheKeyHas) {

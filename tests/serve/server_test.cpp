@@ -88,6 +88,62 @@ TEST(Server, ReplyIsBitIdenticalToDirectPlanner) {
   EXPECT_EQ(total, request.n_jobs);
 }
 
+TEST(Server, ExtremeBandwidthRepliesMatchAFreshCurvePerBucket) {
+  // From about 1e15 Mbps up, distinct offload sizes round to one g and the
+  // freshly built curve drops cuts; the reply must still be that curve's
+  // plan, for every servable strategy.
+  ServerOptions options;
+  Server server(options);
+  std::size_t checked = 0;
+  for (const char* model : {"alexnet", "vgg16", "mobilenet_v2", "googlenet"}) {
+    for (const double mbps : {1e16, 1e300}) {
+      for (const core::Strategy strategy :
+           {core::Strategy::kLocalOnly, core::Strategy::kCloudOnly,
+            core::Strategy::kPartitionOnly, core::Strategy::kJPS,
+            core::Strategy::kJPSTuned, core::Strategy::kJPSHull}) {
+        const PlanRequest request = request_for(model, mbps, 7, strategy);
+        const PlanReply reply = server.handle_plan(request);
+        ASSERT_TRUE(reply.ok()) << reply.message;
+        const core::ExecutionPlan expected = direct_plan(options, request);
+        SCOPED_TRACE(::testing::Message() << model << " at " << mbps
+                                          << " Mbps, "
+                                          << core::strategy_name(strategy));
+        EXPECT_EQ(reply.makespan_ms, expected.predicted_makespan);
+        EXPECT_EQ(reply.mix, mix_of(expected));
+        ++checked;
+      }
+    }
+  }
+  EXPECT_EQ(checked, 4u * 2u * 6u);
+}
+
+TEST(Server, AMissIsOnePlannerPlanAndAHitIsNone) {
+  obs::Counter& plans = obs::counter("planner.plans");
+  obs::Counter& curve_builds = obs::counter("curve.builds");
+  Server server{ServerOptions{}};
+  // The model's first miss builds its candidate lanes (one unclustered
+  // curve); later misses build nothing.
+  ASSERT_TRUE(server.handle_plan(request_for("resnet18", 3.0, 9)).ok());
+  const PlanRequest request = request_for("resnet18", 12.3, 9);
+  const std::uint64_t plans_before = plans.value();
+  const std::uint64_t builds_before = curve_builds.value();
+
+  const PlanReply miss = server.handle_plan(request);
+  ASSERT_TRUE(miss.ok()) << miss.message;
+  EXPECT_FALSE(miss.cache_hit);
+  EXPECT_EQ(plans.value() - plans_before, 1u);
+
+  const PlanReply hit = server.handle_plan(request);
+  ASSERT_TRUE(hit.ok()) << hit.message;
+  EXPECT_TRUE(hit.cache_hit);
+  EXPECT_EQ(plans.value() - plans_before, 1u);
+
+  // The miss decided on the model's lanes: no curve built or cached for
+  // its bucket.
+  EXPECT_EQ(curve_builds.value(), builds_before);
+  EXPECT_EQ(server.cache().curve_count(), 0u);
+}
+
 TEST(Server, NearbyBandwidthsShareABucketAndTheCache) {
   Server server{ServerOptions{}};
   const PlanReply a = server.handle_plan(request_for("alexnet", 10.05, 4));
