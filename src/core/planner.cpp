@@ -4,12 +4,13 @@
 #include <chrono>
 #include <cmath>
 #include <limits>
+#include <numeric>
 #include <stdexcept>
+#include <utility>
 
 #include "check/contracts.h"
 #include "obs/obs.h"
 #include "sched/bruteforce.h"
-#include "sched/johnson.h"
 #include "sched/makespan.h"
 
 namespace jps::core {
@@ -64,6 +65,28 @@ void lane_lower_hull(std::span<const double> f, std::span<const double> g,
     }
     hull.push_back(i);
   }
+}
+
+// two_type_makespan's formula, dispatched once on the run counts: `use`
+// gets (and returns the result of) this shape's (g_a, g_b) -> makespan, so
+// the batch loop tests no count.  makespan = max_i (F_i + G_i) with F_i the
+// f-prefix through job i and G_i the g-suffix from job i; within a
+// homogeneous run the term is linear in i, so only run endpoints can
+// attain it.  An empty run is never read (see the header).
+template <class Use>
+auto with_two_type_formula(double f_a, double f_b, int n_a, int n_b,
+                           Use&& use) {
+  const double a = n_a, b = n_b, af = a * f_a, bf = b * f_b;
+  if (n_a <= 0 && n_b <= 0) return use([](double, double) { return 0.0; });
+  if (n_b <= 0)  // pure a-run: endpoints i = 1 and i = n_a
+    return use([=](double g, double) { return std::max(f_a + a * g, af + g); });
+  if (n_a <= 0)  // pure b-run: endpoints i = 1 and i = n_b
+    return use([=](double, double g) { return std::max(f_b + b * g, bf + g); });
+  return use([=](double g_a, double g_b) {  // i = 1, n_a, n_a + 1, n
+    const double bg = b * g_b;
+    return std::max(
+        {f_a + a * g_a + bg, af + g_a + bg, af + f_b + bg, af + bf + g_b});
+  });
 }
 
 // The one emitter of planner telemetry: `plan` runs under the planner.plan
@@ -179,28 +202,61 @@ const char* strategy_name(Strategy s) {
 ExecutionPlan assemble_plan(const partition::ProfileCurve& curve,
                             Strategy strategy,
                             const std::vector<std::size_t>& cuts) {
-  sched::JobList jobs;
-  jobs.reserve(cuts.size());
-  for (std::size_t i = 0; i < cuts.size(); ++i) {
-    jobs.push_back(sched::Job{.id = static_cast<int>(i),
-                              .cut = static_cast<int>(cuts[i]),
-                              .f = curve.f(cuts[i]),
-                              .g = curve.g(cuts[i])});
+  // Jobs of one cut are identical, so Johnson's rule (Alg. 1) orders the k
+  // distinct cuts once, not the n jobs: comm-heavy cuts (f < g) by ascending
+  // f, then the rest by descending g.  Cuts tied on that key share one run
+  // whose jobs keep ascending ids (johnson_order's index tie-break): the
+  // stretches of equal consecutive cuts are counting-sorted by run, stable
+  // in job order, then copied out.
+  struct Stretch { std::size_t cut, first, count; };
+  std::vector<Stretch> stretches, by_run;
+  // Per-cut buffers, bounded by the curve size, are reused across calls.
+  thread_local std::vector<std::size_t> run_of, types, run_next;
+  const std::span<const double> f = curve.f_lane();
+  const std::span<const double> g = curve.g_lane();
+  const auto key = [&](std::size_t c) {
+    return f[c] < g[c] ? std::pair(0, f[c]) : std::pair(1, -g[c]);
+  };
+  constexpr auto kUnused = static_cast<std::size_t>(-1);
+  types.clear();
+  run_of.assign(curve.size(), kUnused);
+  for (std::size_t first = 0, last = 0; first < cuts.size(); first = last) {
+    while (last < cuts.size() && cuts[last] == cuts[first]) ++last;
+    stretches.push_back({cuts[first], first, last - first});
+    if (std::exchange(run_of.at(cuts[first]), 0) == kUnused)
+      types.push_back(cuts[first]);
+    if (f[cuts[first]] < 0.0 || g[cuts[first]] < 0.0)
+      throw std::invalid_argument("assemble_plan: negative stage length");
   }
-  const sched::JohnsonSchedule schedule = sched::johnson_order(jobs);
+  std::sort(types.begin(), types.end(),
+            [&](std::size_t a, std::size_t b) { return key(a) < key(b); });
+  run_next.assign(types.size() + 1, 0);
+  for (std::size_t t = 1; t < types.size(); ++t)
+    run_of[types[t]] =
+        run_of[types[t - 1]] + (key(types[t]) != key(types[t - 1]));
+  for (const Stretch& s : stretches) ++run_next[run_of[s.cut] + 1];
+  std::partial_sum(run_next.begin(), run_next.end(), run_next.begin());
+  by_run.resize(stretches.size());
+  for (const Stretch& s : stretches) by_run[run_next[run_of[s.cut]]++] = s;
 
   ExecutionPlan plan;
   plan.model = curve.model_name();
   plan.strategy = strategy;
-  plan.comm_heavy_count = schedule.comm_heavy_count;
-  plan.scheduled_jobs = sched::apply_order(jobs, schedule.order);
-  plan.jobs.reserve(jobs.size());
-  for (const sched::Job& job : plan.scheduled_jobs) {
-    plan.jobs.push_back({job.id, static_cast<std::size_t>(job.cut)});
+  plan.jobs.reserve(cuts.size());
+  plan.scheduled_jobs.reserve(cuts.size());
+  plan.f_lane.reserve(cuts.size());
+  plan.g_lane.reserve(cuts.size());
+  for (const auto& [cut, first, count] : by_run) {
+    if (f[cut] < g[cut]) plan.comm_heavy_count += count;
+    plan.f_lane.insert(plan.f_lane.end(), count, f[cut]);
+    plan.g_lane.insert(plan.g_lane.end(), count, g[cut]);
+    for (std::size_t id = first; id < first + count; ++id) {
+      plan.jobs.push_back({static_cast<int>(id), cut});
+      plan.scheduled_jobs.push_back(sched::Job{
+          .id = static_cast<int>(id), .cut = static_cast<int>(cut),
+          .f = f[cut], .g = g[cut]});
+    }
   }
-  plan.refresh_lanes();
-  // The lane overload is bit-identical to the Job-span recurrence; it just
-  // streams two contiguous doubles per job instead of a 5-field struct.
   plan.predicted_makespan =
       sched::flowshop2_makespan(plan.f_lane, plan.g_lane);
   return plan;
@@ -269,25 +325,8 @@ std::vector<std::size_t> Planner::lower_hull_cuts() const {
 
 double two_type_makespan(double f_a, double g_a, double f_b, double g_b,
                          int n_a, int n_b) {
-  // makespan = max_i (F_i + G_i) with F_i the f-prefix through job i and
-  // G_i the g-suffix from job i.  Within a homogeneous run the term is
-  // linear in i, so only the four run endpoints can attain the maximum.
-  //
-  // An empty run must be ignored entirely, not multiplied by a zero count:
-  // the old "count * value" terms turned an unused cut's inf/NaN stages
-  // into NaN, and std::max(-inf, NaN) then leaked -inf out as the result.
-  const double a_count = static_cast<double>(n_a);
-  const double b_count = static_cast<double>(n_b);
-  if (n_a <= 0 && n_b <= 0) return 0.0;
-  if (n_b <= 0)  // pure a-run: endpoints i = 1 and i = n_a
-    return std::max(f_a + a_count * g_a, a_count * f_a + g_a);
-  if (n_a <= 0)  // pure b-run: endpoints i = 1 and i = n_b
-    return std::max(f_b + b_count * g_b, b_count * f_b + g_b);
-  double best = f_a + a_count * g_a + b_count * g_b;             // i = 1
-  best = std::max(best, a_count * f_a + g_a + b_count * g_b);    // i = n_a
-  best = std::max(best, a_count * f_a + f_b + b_count * g_b);    // i = n_a+1
-  best = std::max(best, a_count * f_a + b_count * f_b + g_b);    // i = n
-  return best;
+  return with_two_type_formula(
+      f_a, f_b, n_a, n_b, [&](auto formula) { return formula(g_a, g_b); });
 }
 
 void two_type_makespan_batch(double f_a, std::span<const double> g_a,
@@ -295,40 +334,10 @@ void two_type_makespan_batch(double f_a, std::span<const double> g_a,
                              int n_b, std::span<double> out) {
   if (g_a.size() != g_b.size() || out.size() != g_a.size())
     throw std::invalid_argument("two_type_makespan_batch: span size mismatch");
-  const std::size_t samples = out.size();
-  const double a_count = static_cast<double>(n_a);
-  const double b_count = static_cast<double>(n_b);
-  if (n_a <= 0 && n_b <= 0) {
-    std::fill(out.begin(), out.end(), 0.0);
-    return;
-  }
-  // The count branches are per-candidate constants; hoisting them leaves
-  // one branch-free multiply-add-max pass per case.  Every arithmetic
-  // expression below keeps the scalar function's association, so out[s] is
-  // bit-identical to two_type_makespan(f_a, g_a[s], f_b, g_b[s], n_a, n_b).
-  if (n_b <= 0) {
-    const double af = a_count * f_a;
-    for (std::size_t s = 0; s < samples; ++s)
-      out[s] = std::max(f_a + a_count * g_a[s], af + g_a[s]);
-    return;
-  }
-  if (n_a <= 0) {
-    const double bf = b_count * f_b;
-    for (std::size_t s = 0; s < samples; ++s)
-      out[s] = std::max(f_b + b_count * g_b[s], bf + g_b[s]);
-    return;
-  }
-  const double af = a_count * f_a;
-  const double af_fb = af + f_b;
-  const double af_bf = af + b_count * f_b;
-  for (std::size_t s = 0; s < samples; ++s) {
-    const double bg = b_count * g_b[s];
-    double best = f_a + a_count * g_a[s] + bg;  // i = 1
-    best = std::max(best, af + g_a[s] + bg);    // i = n_a
-    best = std::max(best, af_fb + bg);          // i = n_a+1
-    best = std::max(best, af_bf + g_b[s]);      // i = n
-    out[s] = best;
-  }
+  with_two_type_formula(f_a, f_b, n_a, n_b, [&](auto formula) {
+    for (std::size_t s = 0; s < out.size(); ++s)
+      out[s] = formula(g_a[s], g_b[s]);
+  });
 }
 
 int best_two_type_split(double f_a, double g_a, double f_b, double g_b,

@@ -71,10 +71,8 @@ struct PlannerOptions {
                                        double g_b, int n_a, int n_b);
 
 /// Batched two_type_makespan over per-sample g lanes: out[s] is exactly
-/// two_type_makespan(f_a, g_a[s], f_b, g_b[s], n_a, n_b) — bit-identical;
-/// the count branches are hoisted out of the sample loop so each case is a
-/// tight vectorizable pass.  This is RobustPlanner's inner kernel: one
-/// candidate (pair, split) scored across the whole bandwidth grid per call.
+/// two_type_makespan(f_a, g_a[s], f_b, g_b[s], n_a, n_b) (one formula).
+/// RobustPlanner's inner kernel: one candidate scored over the whole grid.
 /// Throws std::invalid_argument when the spans disagree in length.
 void two_type_makespan_batch(double f_a, std::span<const double> g_a,
                              double f_b, std::span<const double> g_b, int n_a,
@@ -89,8 +87,9 @@ void two_type_makespan_batch(double f_a, std::span<const double> g_a,
                                       double g_b, int n_jobs);
 
 /// Assemble, Johnson-order and evaluate a plan from per-job cut indices
-/// into `curve`.  Shared by Planner::plan, the robust planner and the
-/// fault-aware replanning hook.
+/// into `curve` (job i at cuts[i]), equal field for field to johnson_order +
+/// apply_order + flowshop2_makespan, in O(n + k log k) for k distinct cuts.
+/// Used by Planner::plan, materialize and RobustPlanner.
 [[nodiscard]] ExecutionPlan assemble_plan(const partition::ProfileCurve& curve,
                                           Strategy strategy,
                                           const std::vector<std::size_t>& cuts);

@@ -85,8 +85,7 @@ RobustPlanner::RobustPlanner(partition::ProfileCurve curve,
     for (std::size_t i = 0; i < curve_.size(); ++i)
       g_grid_[i * samples + s] = g[i];
   }
-  g_nominal_.resize(curve_.size());
-  for (std::size_t i = 0; i < curve_.size(); ++i) g_nominal_[i] = curve_.g(i);
+  g_nominal_.assign(curve_.g_lane().begin(), curve_.g_lane().end());
 }
 
 std::vector<double> RobustPlanner::bandwidth_grid() const {
@@ -144,8 +143,7 @@ ExecutionPlan RobustPlanner::plan(int n_jobs) const {
   const RobustDecision decision = decide(n_jobs);
   std::vector<std::size_t> cuts(static_cast<std::size_t>(n_jobs),
                                 decision.cut_b);
-  for (int i = 0; i < decision.n_a; ++i)
-    cuts[static_cast<std::size_t>(i)] = decision.cut_a;
+  std::fill_n(cuts.begin(), decision.n_a, decision.cut_a);
   return assemble_plan(curve_, Strategy::kRobust, cuts);
 }
 
@@ -156,20 +154,17 @@ std::vector<double> plan_makespans_over_interval(
     throw std::invalid_argument("plan_makespans_over_interval: samples < 1");
   if (interval.lo_mbps <= 0.0 || interval.hi_mbps < interval.lo_mbps)
     throw std::invalid_argument("plan_makespans_over_interval: bad interval");
-  // Hoist the fixed f lane once; per sample only the g lane is rewritten —
+  // The plan's f lane is fixed; per sample only the g lane is rewritten —
   // no JobList copy, and the lane closed_form_makespan streams two
   // contiguous arrays.
-  std::vector<double> f(plan.scheduled_jobs.size());
-  for (std::size_t i = 0; i < plan.scheduled_jobs.size(); ++i)
-    f[i] = plan.scheduled_jobs[i].f;
-  std::vector<double> g_jobs(plan.scheduled_jobs.size());
+  std::vector<double> g_jobs(plan.jobs.size());
   std::vector<double> out;
   out.reserve(static_cast<std::size_t>(samples));
   for (const double mbps : grid_points(interval, samples)) {
     const std::vector<double> g = comm_times_at(curve, channel, mbps);
     for (std::size_t i = 0; i < g_jobs.size(); ++i)
       g_jobs[i] = g[plan.jobs[i].cut_index];
-    out.push_back(sched::closed_form_makespan(f, g_jobs));
+    out.push_back(sched::closed_form_makespan(plan.f_lane, g_jobs));
   }
   return out;
 }

@@ -115,7 +115,20 @@ class RequestTracer {
 // connection while no other thread waits there first starts one more, then
 // serves its socket and goes back to accept(), so the set grows to the peak
 // number of concurrent connections plus one and then stops growing.
-// mutex_ is a leaf: nothing else is locked under it.
+//
+// One exception keeps sequential churn from starting threads however late
+// the kernel runs a thread: a connection counts as ending while its stream
+// reports finished() for every byte its thread has handed to write() (the
+// peer closed, nothing is left to read outside the stream's own buffer,
+// and every reply byte is acknowledged).  From there no read can wait, and
+// the thread ends once it reads EOF, so the acceptor that finds it skips
+// the spawn.  The skip is a loan: should the thread still owe a reply (to
+// a request it is computing, or to the rest of a pipelined one already in
+// the stream's own buffer), its next write() first starts the missing
+// acceptor, so a thread that blocks writing to a peer that stopped reading
+// never leaves the listener without one.
+// mutex_ is a leaf: under it run only a stream's finished() and close(),
+// which on a socket lock nothing.
 class ConnectionThreads {
  public:
   /// Starts the first acceptor; a std::system_error propagates.
@@ -147,43 +160,125 @@ class ConnectionThreads {
   }
 
  private:
+  // An accepted stream as its connection thread uses it.  word_ packs the
+  // bytes handed to write() so far (shifted left by one) with a loan bit,
+  // set by an acceptor that skipped its spawn counting on this connection
+  // ending.  Only the thread changes the count, and every write adds to
+  // it, so an acceptor's compare-exchange fails if the thread wrote since
+  // the acceptor looked.
+  class ServedStream final : public ByteStream {
+   public:
+    ServedStream(ConnectionThreads& owner, std::unique_ptr<ByteStream> inner)
+        : owner_(owner), inner_(std::move(inner)) {}
+
+    std::size_t read(char* out, std::size_t max) override {
+      return inner_->read(out, max);
+    }
+    void write(const char* data, std::size_t size) override {
+      const std::uint64_t written = (word_.load() >> 1) + size;
+      if (word_.exchange(written << 1) & kLoan) owner_.replace_acceptor();
+      inner_->write(data, size);
+    }
+    void shutdown_read() override { inner_->shutdown_read(); }
+    // The connection's end: its thread counts as idle from here, on its way
+    // back to accept().  Leaving serving_ before the descriptor closes means
+    // an acceptor never asks finished() of one that is being closed, or
+    // already reused by a new connection.
+    void close() override {
+      if (ended_.exchange(true)) return;
+      {
+        util::MutexLock lock(owner_.mutex_);
+        std::erase(owner_.serving_, this);
+        ++owner_.idle_;
+      }
+      inner_->close();
+    }
+    void set_read_timeout_ms(double ms) override {
+      inner_->set_read_timeout_ms(ms);
+    }
+
+    // Whether the connection is ending; when it is, takes the loan.  Runs
+    // under mutex_, while the stream is in serving_ (see close()).
+    bool rely_on_ending() {
+      std::uint64_t word = word_.load();
+      return inner_->finished(word >> 1) &&
+             word_.compare_exchange_strong(word, word | kLoan);
+    }
+
+   private:
+    static constexpr std::uint64_t kLoan = 1;
+
+    ConnectionThreads& owner_;
+    std::unique_ptr<ByteStream> inner_;
+    std::atomic<std::uint64_t> word_{0};
+    std::atomic<bool> ended_{false};
+  };
+
   // The new thread counts as idle from here: it goes straight to accept().
   void spawn_locked() JPS_REQUIRES(mutex_) {
     threads_.emplace_back([this] { run(); });
     ++idle_;
   }
 
+  // Starts a thread unless one is idle or the listener closed.  Returns
+  // the error to log (after unlocking: mutex_ stays a leaf), or "".
+  std::string spawn_if_none_idle_locked() JPS_REQUIRES(mutex_) {
+    if (idle_ > 0 || closed_) return {};
+    try {
+      spawn_locked();
+    } catch (const std::system_error& e) {
+      return e.what();
+    }
+    return {};
+  }
+
+  // Serve this socket anyway; until a thread is back in accept(), new
+  // clients wait in the kernel's listen backlog.
+  static void log_spawn_error(const std::string& error) {
+    if (error.empty()) return;
+    util::log_line(util::LogLevel::kWarn,
+                   "serve: cannot start a connection thread",
+                   {{"error", error}});
+  }
+
+  // A thread that an acceptor counted as ending is about to write a reply.
+  void replace_acceptor() {
+    std::string spawn_error;
+    {
+      util::MutexLock lock(mutex_);
+      spawn_error = spawn_if_none_idle_locked();
+    }
+    log_spawn_error(spawn_error);
+  }
+
   void run() {
     while (true) {
-      std::unique_ptr<ByteStream> stream = listener_.accept();
+      std::unique_ptr<ByteStream> accepted = listener_.accept();
+      std::unique_ptr<ServedStream> stream;
       std::string spawn_error;
       {
         util::MutexLock lock(mutex_);
         --idle_;
-        if (!stream) {
+        if (!accepted) {
           closed_ = true;
           closed_cv_.notify_all();
           return;
         }
-        if (idle_ == 0 && !closed_) {
-          try {
-            spawn_locked();
-          } catch (const std::system_error& e) {
-            spawn_error = e.what();
-          }
-        }
+        stream = std::make_unique<ServedStream>(*this, std::move(accepted));
+        if (idle_ == 0 && !any_served_ending_locked())
+          spawn_error = spawn_if_none_idle_locked();
+        serving_.push_back(stream.get());
       }
-      if (!spawn_error.empty()) {
-        // Serve this socket anyway; until a thread is back in accept(), new
-        // clients wait in the kernel's listen backlog.
-        util::log_line(util::LogLevel::kWarn,
-                       "serve: cannot start a connection thread",
-                       {{"error", spawn_error}});
-      }
+      log_spawn_error(spawn_error);
+      // Ends by closing the stream, which counts this thread idle again.
       server_.handle_connection(*stream);
-      util::MutexLock lock(mutex_);
-      ++idle_;
     }
+  }
+
+  // A few syscalls per served stream; asked only when no thread is idle.
+  bool any_served_ending_locked() JPS_REQUIRES(mutex_) {
+    return std::any_of(serving_.begin(), serving_.end(),
+                       [](ServedStream* s) { return s->rely_on_ending(); });
   }
 
   Server& server_;
@@ -192,6 +287,8 @@ class ConnectionThreads {
   util::CondVar closed_cv_;
   // Threads in (or on their way back to) accept().
   std::size_t idle_ JPS_GUARDED_BY(mutex_) = 0;
+  // The streams being served, until they close.
+  std::vector<ServedStream*> serving_ JPS_GUARDED_BY(mutex_);
   bool closed_ JPS_GUARDED_BY(mutex_) = false;
   std::vector<std::thread> threads_ JPS_GUARDED_BY(mutex_);
 };

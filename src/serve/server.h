@@ -38,8 +38,10 @@
 // error reply, unframeable streams are closed.  serve() runs connections on
 // reused threads (leader/followers): idle threads block in accept(), and a
 // thread that takes a connection while no other thread waits there starts
-// one more first, so the thread count stays at the peak number of
-// concurrent connections plus one and no thread is created per connection.
+// one more first (unless a served connection is ending: its peer closed,
+// left nothing unread and acknowledged every reply), so the thread count
+// stays at the peak number of concurrent connections plus one and no
+// thread is created per connection.
 //
 // Resilience (PR 8 — see docs/ROBUSTNESS.md "Serve-path resilience"):
 //   * Deadlines — a v2 request may carry a relative deadline_ms budget,

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstddef>
 #include <cstring>
 #include <deque>
 #include <stdexcept>
@@ -10,8 +11,9 @@
 #include "util/mutex.h"
 
 #include <arpa/inet.h>
+// Not <netinet/tcp.h>: only the kernel's header has tcpi_bytes_acked.
+#include <linux/tcp.h>
 #include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <sys/time.h>
 #include <unistd.h>
@@ -120,19 +122,18 @@ class SocketStream final : public ByteStream {
   explicit SocketStream(int fd) : fd_(fd) {}
   ~SocketStream() override { close(); }
 
+  // A frame's length prefix and a small payload arrive in one recv: short
+  // reads are served from buffer_, reads of at least its size bypass it.
   std::size_t read(char* out, std::size_t max) override {
-    while (true) {
-      const int fd = fd_.load(std::memory_order_acquire);
-      if (fd < 0) return 0;  // closed locally: EOF
-      const ssize_t n = ::recv(fd, out, max, 0);
-      if (n >= 0) return static_cast<std::size_t>(n);
-      if (errno == EINTR) continue;
-      if ((errno == EAGAIN || errno == EWOULDBLOCK) && timed_) {
-        // SO_RCVTIMEO expired: the peer is stalled, not gone.
-        throw TransportTimeout("serve: socket read timed out");
-      }
-      return 0;  // reset/closed peer reads as EOF at the frame layer
+    if (begin_ == end_) {
+      if (max >= sizeof(buffer_)) return recv_some(out, max);
+      end_ = recv_some(buffer_, sizeof(buffer_));
+      begin_ = 0;
     }
+    const std::size_t n = std::min(max, end_ - begin_);
+    std::memcpy(out, buffer_ + begin_, n);
+    begin_ += n;
+    return n;
   }
 
   void write(const char* data, std::size_t size) override {
@@ -165,9 +166,13 @@ class SocketStream final : public ByteStream {
     }
   }
 
+  // Clients re-arm their deadline before every request; an unchanged one
+  // costs no syscall.
   void set_read_timeout_ms(double ms) override {
     const int fd = fd_.load(std::memory_order_acquire);
     if (fd < 0) return;
+    if (ms <= 0.0) ms = 0.0;
+    if (ms == timeout_ms_) return;
     timeval tv{};
     if (ms > 0.0) {
       // Round up so a sub-microsecond request still arms the timer (a zero
@@ -179,14 +184,50 @@ class SocketStream final : public ByteStream {
       if (tv.tv_sec == 0 && tv.tv_usec == 0) tv.tv_usec = 1;
     }
     ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+    timeout_ms_ = ms;
     timed_ = ms > 0.0;
   }
 
+  [[nodiscard]] bool finished(std::uint64_t written) const override {
+    const int fd = fd_.load(std::memory_order_acquire);
+    if (fd < 0) return true;
+    // recv reports 0 only at EOF with no byte left unread.
+    char byte;
+    if (::recv(fd, &byte, 1, MSG_PEEK | MSG_DONTWAIT) != 0) return false;
+    tcp_info info{};
+    socklen_t size = sizeof(info);
+    return ::getsockopt(fd, IPPROTO_TCP, TCP_INFO, &info, &size) == 0 &&
+           size >= offsetof(tcp_info, tcpi_bytes_acked) +
+                       sizeof(info.tcpi_bytes_acked) &&
+           info.tcpi_bytes_acked >= written;
+  }
+
  private:
+  std::size_t recv_some(char* out, std::size_t max) {
+    while (true) {
+      const int fd = fd_.load(std::memory_order_acquire);
+      if (fd < 0) return 0;  // closed locally: EOF
+      const ssize_t n = ::recv(fd, out, max, 0);
+      if (n >= 0) return static_cast<std::size_t>(n);
+      if (errno == EINTR) continue;
+      if ((errno == EAGAIN || errno == EWOULDBLOCK) && timed_) {
+        // SO_RCVTIMEO expired: the peer is stalled, not gone.
+        throw TransportTimeout("serve: socket read timed out");
+      }
+      return 0;  // reset/closed peer reads as EOF at the frame layer
+    }
+  }
+
   std::atomic<int> fd_;
   // Whether a deadline is armed; EAGAIN on an un-timed blocking socket (not
   // expected, but possible with exotic socket options) keeps mapping to EOF.
   std::atomic<bool> timed_{false};
+  // The armed SO_RCVTIMEO in ms, 0 for none (a new socket's default).
+  // Reads, timeout-sets and buffer_ belong to one reading thread.
+  double timeout_ms_ = 0.0;
+  char buffer_[512];
+  std::size_t begin_ = 0;
+  std::size_t end_ = 0;
 };
 
 }  // namespace

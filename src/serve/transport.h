@@ -61,6 +61,20 @@ class ByteStream {
   /// block-forever.  Sockets implement this with SO_RCVTIMEO; pipes with a
   /// timed condition wait.
   virtual void set_read_timeout_ms(double ms) = 0;
+
+  /// Whether this stream no longer waits on its peer: the incoming
+  /// direction has ended (the peer closed, or shutdown_read() or close()
+  /// ran), every byte the transport still holds is already in this
+  /// stream's own read buffer, and the peer has acknowledged the first
+  /// `written` bytes written to this stream (the caller's count of bytes
+  /// handed to write(), a write in progress included).  The serve loop
+  /// uses it to tell a connection that is ending from one that is busy.
+  /// Callable from any thread while another reads or writes, but not while
+  /// close() runs; it must neither block nor lock.  Streams that cannot
+  /// tell answer false.
+  [[nodiscard]] virtual bool finished(std::uint64_t /*written*/) const {
+    return false;
+  }
 };
 
 /// Non-owning view of a shared stream end, forwarding every call.  Client
@@ -82,6 +96,9 @@ class BorrowedStream final : public ByteStream {
   void close() override { target_->close(); }
   void set_read_timeout_ms(double ms) override {
     target_->set_read_timeout_ms(ms);
+  }
+  [[nodiscard]] bool finished(std::uint64_t written) const override {
+    return target_->finished(written);
   }
 
  private:

@@ -1,14 +1,23 @@
 // Server::serve over a real SocketListener: connection threads are reused
-// (sequential churn creates no thread per connection), closing the listener
-// mid-load drains every admitted request exactly once, and closing an idle
-// listener returns promptly with every connection thread joined.
+// (sequential churn creates no thread per connection, and a connection
+// whose peer has closed counts as ending before its thread runs, but not
+// while its thread still writes a reply), closing
+// the listener mid-load drains every admitted request exactly once, and
+// closing an idle listener returns promptly with every connection thread
+// joined.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <deque>
 #include <fstream>
 #include <future>
 #include <map>
+#include <memory>
+#include <mutex>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -20,6 +29,7 @@
 #include "partition/profile_curve.h"
 #include "profile/latency_model.h"
 #include "serve/client.h"
+#include "serve/protocol.h"
 #include "serve/server.h"
 #include "serve/transport.h"
 
@@ -125,6 +135,289 @@ TEST(ServeLoop, SequentialChurnReusesConnectionThreads) {
   EXPECT_EQ(server.stats().requests,
             static_cast<std::uint64_t>(kConnections + 1));
   EXPECT_TRUE(server.stopped());
+}
+
+// A Listener over in-process connections the test hands it one by one.
+class QueueListener final : public Listener {
+ public:
+  void push(std::unique_ptr<ByteStream> stream) {
+    {
+      std::lock_guard lock(mutex_);
+      queue_.push_back(std::move(stream));
+    }
+    ready_.notify_all();
+  }
+
+  std::unique_ptr<ByteStream> accept() override {
+    std::unique_lock lock(mutex_);
+    ready_.wait(lock, [&] { return !queue_.empty() || closed_; });
+    if (queue_.empty()) return nullptr;
+    std::unique_ptr<ByteStream> stream = std::move(queue_.front());
+    queue_.pop_front();
+    return stream;
+  }
+
+  void close() override {
+    {
+      std::lock_guard lock(mutex_);
+      closed_ = true;
+    }
+    ready_.notify_all();
+  }
+
+ private:
+  std::mutex mutex_;
+  std::condition_variable ready_;
+  std::deque<std::unique_ptr<ByteStream>> queue_;
+  bool closed_ = false;
+};
+
+// The server end of an in-process connection, standing in for a socket
+// whose thread the kernel has not run since its peer closed: finished()
+// already says so, but read() holds the EOF until `release` is ready.
+class HeldEofStream final : public ByteStream {
+ public:
+  HeldEofStream(std::unique_ptr<ByteStream> inner,
+                std::shared_future<void> release, std::promise<void>& eof)
+      : inner_(std::move(inner)), release_(std::move(release)), eof_(eof) {}
+
+  std::size_t read(char* out, std::size_t max) override {
+    const std::size_t n = inner_->read(out, max);
+    if (n == 0 && !peer_closed_.exchange(true)) {
+      eof_.set_value();
+      release_.wait();
+    }
+    return n;
+  }
+  void write(const char* data, std::size_t size) override {
+    inner_->write(data, size);
+  }
+  void shutdown_read() override { inner_->shutdown_read(); }
+  void close() override { inner_->close(); }
+  void set_read_timeout_ms(double ms) override {
+    inner_->set_read_timeout_ms(ms);
+  }
+  [[nodiscard]] bool finished(std::uint64_t) const override {
+    return peer_closed_.load();
+  }
+
+ private:
+  std::unique_ptr<ByteStream> inner_;
+  std::shared_future<void> release_;
+  std::promise<void>& eof_;
+  std::atomic<bool> peer_closed_{false};
+};
+
+// Serves a first connection, closes its peer (or keeps it open), then
+// serves a second one while the first connection's thread is still held
+// before its EOF.  Returns the threads the second connection started.
+int threads_started_by_second_connection(bool first_peer_closed) {
+  Server server{ServerOptions{}};
+  QueueListener listener;
+  std::thread serving([&] { server.serve(listener); });
+  std::promise<void> release;
+  std::promise<void> first_eof;
+  StreamPair first = make_in_process_pair();
+  listener.push(std::make_unique<HeldEofStream>(
+      std::move(first.second), release.get_future().share(), first_eof));
+  Client first_client(std::move(first.first));
+  EXPECT_TRUE(first_client.ping());  // served: one thread now waits in accept
+  if (first_peer_closed) {
+    first_client.close();
+    first_eof.get_future().wait();
+  }
+
+  const int threads_before = live_threads();
+  StreamPair second = make_in_process_pair();
+  listener.push(std::move(second.second));
+  Client second_client(std::move(second.first));
+  EXPECT_TRUE(second_client.ping());  // any spawn happened before the reply
+  const int started = live_threads() - threads_before;
+
+  release.set_value();
+  first_client.close();
+  second_client.close();
+  listener.close();
+  serving.join();
+  return started;
+}
+
+TEST(ServeLoop, APeerThatClosedBeforeItsThreadRanCausesNoSpawn) {
+  // The acceptor of the second connection finds no idle thread either way;
+  // only an open first connection is a reason to start one more.
+  EXPECT_EQ(threads_started_by_second_connection(/*first_peer_closed=*/true),
+            0);
+  EXPECT_EQ(threads_started_by_second_connection(/*first_peer_closed=*/false),
+            1);
+}
+
+// The bytes write_frame puts on the wire for `payload`.
+std::string frame_bytes(const std::string& payload) {
+  StreamPair pair = make_in_process_pair();
+  write_frame(*pair.first, payload);
+  pair.first->close();
+  std::string bytes;
+  char chunk[256];
+  while (const std::size_t n = pair.second->read(chunk, sizeof(chunk)))
+    bytes.append(chunk, n);
+  return bytes;
+}
+
+// The server end of a connection whose peer sent one request, closed its
+// side and never reads.  finished() holds until a reply byte is written:
+// the request already sits in the stream's own buffer (as when one recv
+// brought it in with an earlier frame), and the peer acknowledges nothing
+// (its window is full).  The first read() waits for `hold`; write()
+// blocks, as on such a socket, until close().
+class StalledPeerStream final : public ByteStream {
+ public:
+  StalledPeerStream(std::string request, std::shared_future<void> hold)
+      : request_(std::move(request)), hold_(std::move(hold)) {}
+
+  std::promise<void> reading;  // the first read() began
+  std::promise<void> drained;  // every request byte was read
+  std::promise<void> writing;  // write() began
+
+  std::size_t read(char* out, std::size_t max) override {
+    if (consumed_ == 0) {
+      reading.set_value();
+      hold_.wait();
+    }
+    const std::size_t n = std::min(max, request_.size() - consumed_);
+    std::copy_n(request_.data() + consumed_, n, out);
+    consumed_ += n;
+    if (n > 0 && consumed_ == request_.size()) drained.set_value();
+    return n;
+  }
+  void write(const char*, std::size_t) override {
+    std::unique_lock lock(mutex_);
+    if (!writing_started_) {
+      writing_started_ = true;
+      writing.set_value();
+    }
+    closed_cv_.wait(lock, [&] { return closed_; });
+    throw std::runtime_error("peer gone");
+  }
+  void shutdown_read() override {}
+  void close() override {
+    {
+      std::lock_guard lock(mutex_);
+      closed_ = true;
+    }
+    closed_cv_.notify_all();
+  }
+  void set_read_timeout_ms(double) override {}
+  [[nodiscard]] bool finished(std::uint64_t written) const override {
+    return written == 0;
+  }
+
+ private:
+  const std::string request_;
+  std::shared_future<void> hold_;
+  std::size_t consumed_ = 0;  // the reading thread's
+  std::mutex mutex_;
+  std::condition_variable closed_cv_;
+  bool writing_started_ = false;
+  bool closed_ = false;
+};
+
+// Forwards to an in-process stream and reports its first read().
+class ReadSignalStream final : public ByteStream {
+ public:
+  ReadSignalStream(std::unique_ptr<ByteStream> inner,
+                   std::promise<void>& reading)
+      : inner_(std::move(inner)), reading_(reading) {}
+
+  std::size_t read(char* out, std::size_t max) override {
+    if (!signalled_.exchange(true)) reading_.set_value();
+    return inner_->read(out, max);
+  }
+  void write(const char* data, std::size_t size) override {
+    inner_->write(data, size);
+  }
+  void shutdown_read() override { inner_->shutdown_read(); }
+  void close() override { inner_->close(); }
+  void set_read_timeout_ms(double ms) override {
+    inner_->set_read_timeout_ms(ms);
+  }
+
+ private:
+  std::unique_ptr<ByteStream> inner_;
+  std::promise<void>& reading_;
+  std::atomic<bool> signalled_{false};
+};
+
+// Where the first connection's thread is when the second one is accepted.
+enum class FirstThread { kComputing, kWriting, kReading };
+
+// Whether a ping on a third connection is answered, i.e. a thread is left
+// in accept(), while the first connection's thread blocks writing a reply
+// its peer never reads and the second connection's thread waits for a
+// request.  The second connection is accepted while the first thread is
+// `at`; in kReading it waits in read() for a request that arrives only
+// after that.
+bool third_served_beside_a_blocked_writer(FirstThread at) {
+  ServerOptions options;
+  options.debug_plan_delay_ms = 200.0;  // keeps kComputing's thread there
+  Server server(options);
+  QueueListener listener;
+  std::thread serving([&] { server.serve(listener); });
+  const std::string request =
+      at == FirstThread::kComputing
+          ? encode_plan_request(request_for("alexnet", 4.0, 8))
+      : at == FirstThread::kWriting ? encode_trace_dump_request()
+                                    : encode_ping();
+  std::promise<void> hold;
+  if (at != FirstThread::kReading) hold.set_value();
+  auto first = std::make_shared<StalledPeerStream>(frame_bytes(request),
+                                                   hold.get_future().share());
+  std::future<void> reading = first->reading.get_future();
+  std::future<void> drained = first->drained.get_future();
+  std::future<void> writing = first->writing.get_future();
+  listener.push(std::make_unique<BorrowedStream>(first));
+  switch (at) {
+    case FirstThread::kComputing: drained.wait(); break;
+    case FirstThread::kWriting: writing.wait(); break;
+    case FirstThread::kReading: reading.wait(); break;
+  }
+
+  std::promise<void> second_reading;
+  StreamPair second = make_in_process_pair();  // a peer that sends nothing
+  listener.push(std::make_unique<ReadSignalStream>(std::move(second.second),
+                                                   second_reading));
+  second_reading.get_future().wait();  // its acceptor has decided
+  if (at == FirstThread::kReading) hold.set_value();
+  writing.wait();
+
+  StreamPair third = make_in_process_pair();
+  listener.push(std::move(third.second));
+  ClientRetryOptions client_options;
+  client_options.read_timeout_ms = 5000.0;
+  Client client(std::move(third.first), client_options);
+  const bool served = client.ping();
+
+  first->close();
+  second.first->close();
+  client.close();
+  listener.close();
+  serving.join();
+  return served;
+}
+
+TEST(ServeLoop, APeerThatStopsReadingItsReplyStillLeavesAnAcceptor) {
+  // The first peer sent a request, closed and never reads.  The second
+  // acceptor may count on a thread that computes the reply (nothing is
+  // written yet), but that thread's write then starts the missing acceptor;
+  // a thread that writes what the peer never acknowledges is not ending.
+  EXPECT_TRUE(third_served_beside_a_blocked_writer(FirstThread::kComputing));
+  EXPECT_TRUE(third_served_beside_a_blocked_writer(FirstThread::kWriting));
+}
+
+TEST(ServeLoop, AThreadCountedAsEndingThatGetsARequestStartsAnAcceptor) {
+  // The second acceptor skipped its spawn counting on the first thread's
+  // EOF; that thread read a request instead and blocks writing its reply,
+  // so it must have started the missing acceptor itself.
+  EXPECT_TRUE(third_served_beside_a_blocked_writer(FirstThread::kReading));
 }
 
 TEST(ServeLoop, ClosingTheListenerMidLoadAnswersEveryAdmittedRequestOnce) {

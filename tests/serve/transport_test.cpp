@@ -1,10 +1,12 @@
 // Byte transports: in-process pipe semantics (backpressure, half-close,
-// EOF) and the loopback socket listener.
+// EOF) and the loopback socket listener and stream (read buffer, deadline,
+// finished()).
 #include "serve/transport.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <string>
 #include <thread>
 
@@ -103,6 +105,102 @@ TEST(SocketTransport, EphemeralPortEchoAndShutdown) {
   std::thread closer([&] { listener.close(); });
   EXPECT_EQ(listener.accept(), nullptr);
   closer.join();
+}
+
+// A connected (client, server-side) socket pair on an ephemeral port.
+struct SocketPair {
+  SocketListener listener{0};
+  std::unique_ptr<ByteStream> client =
+      socket_connect("127.0.0.1", listener.port());
+  std::unique_ptr<ByteStream> server = listener.accept();
+};
+
+void read_exactly(ByteStream& stream, char* out, std::size_t size) {
+  std::size_t got = 0;
+  while (got < size) {
+    const std::size_t n = stream.read(out + got, size - got);
+    ASSERT_GT(n, 0u) << "EOF after " << got << " of " << size << " bytes";
+    got += n;
+  }
+}
+
+TEST(SocketTransport, MixedReadSizesSeeEveryByteInOrder) {
+  SocketPair pair;
+  std::string sent;
+  for (int i = 0; i < 5000; ++i)
+    sent.push_back(static_cast<char>('a' + i % 26));
+  pair.client->write(sent.data(), sent.size());
+  pair.client->close();
+  std::string got;
+  // Short reads come from the stream's buffer, long ones bypass it.
+  for (const std::size_t size : {4u, 1u, 600u, 3u, 2000u, 17u}) {
+    std::string chunk(size, '\0');
+    read_exactly(*pair.server, chunk.data(), size);
+    got += chunk;
+  }
+  got += read_all(*pair.server);
+  EXPECT_EQ(got, sent);
+}
+
+TEST(SocketTransport, ShutdownReadStillReturnsBufferedBytesBeforeEof) {
+  SocketPair pair;
+  pair.client->write("0123456789", 10);
+  char head[4];
+  read_exactly(*pair.server, head, sizeof(head));
+  EXPECT_EQ(std::string(head, 4), "0123");
+  pair.server->shutdown_read();
+  EXPECT_EQ(read_all(*pair.server), "456789");
+  // The outgoing direction still works.
+  pair.server->write("ok", 2);
+  char reply[2];
+  read_exactly(*pair.client, reply, sizeof(reply));
+  EXPECT_EQ(std::string(reply, 2), "ok");
+}
+
+TEST(SocketTransport, ReadDeadlineHoldsAcrossRepeatedAndChangedSettings) {
+  SocketPair pair;
+  char byte;
+  pair.client->set_read_timeout_ms(20.0);
+  EXPECT_THROW((void)pair.client->read(&byte, 1), TransportTimeout);
+  pair.client->set_read_timeout_ms(20.0);  // unchanged: still armed
+  EXPECT_THROW((void)pair.client->read(&byte, 1), TransportTimeout);
+  pair.client->set_read_timeout_ms(0.0);
+  pair.client->set_read_timeout_ms(30.0);  // re-armed after a change
+  EXPECT_THROW((void)pair.client->read(&byte, 1), TransportTimeout);
+  pair.client->set_read_timeout_ms(0.0);
+  pair.server->write("x", 1);
+  ASSERT_EQ(pair.client->read(&byte, 1), 1u);
+  EXPECT_EQ(byte, 'x');
+}
+
+TEST(SocketTransport, FinishedOnceThePeerClosedReadAllAndAckedAll) {
+  SocketPair pair;
+  EXPECT_FALSE(pair.server->finished(0));  // open, nothing sent
+  pair.client->write("abc", 3);
+  pair.server->write("xy", 2);
+  char got[3];
+  read_exactly(*pair.client, got, 2);
+  pair.client->close();
+  // The peer's FIN is queued behind three unread bytes.
+  EXPECT_FALSE(pair.server->finished(2));
+  read_exactly(*pair.server, got, sizeof(got));
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (!pair.server->finished(2) &&
+         std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  EXPECT_TRUE(pair.server->finished(2));
+  // A byte the peer never acknowledged: a write of it may still wait.
+  EXPECT_FALSE(pair.server->finished(3));
+  char byte;
+  EXPECT_EQ(pair.server->read(&byte, 1), 0u);
+
+  SocketPair open;
+  open.client->write("abc", 3);
+  read_exactly(*open.server, got, sizeof(got));
+  EXPECT_FALSE(open.server->finished(0));  // read everything, peer open
+  open.server->close();
+  EXPECT_TRUE(open.server->finished(0));
 }
 
 TEST(SocketTransport, ConnectToClosedPortThrows) {
