@@ -3,11 +3,13 @@
 // The input is interpreted two ways, because the decoders have two layers
 // with different contracts:
 //
-//   1. As a bare payload: peek_op / peek_version / decode_plan_request /
+//   1. As a bare payload: peek_op / decode_plan_request /
 //      decode_plan_reply must either return or throw ProtocolError — never
 //      crash, never read out of bounds (the smoke job runs under
-//      ASan+UBSan).  A payload that decodes must re-encode and re-decode
-//      to the same value (round-trip property).
+//      ASan+UBSan).  A payload that decodes must carry kVersion (any other
+//      version byte, e.g. an old v1/v2 client's frame, is a ProtocolError),
+//      and must re-encode and re-decode to the same value (round-trip
+//      property).
 //
 //   2. As a raw byte stream: read_frame must handle hostile length
 //      prefixes (oversized => ProtocolError before any allocation),
@@ -58,26 +60,19 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
 
   try {
     (void)peek_op(payload);
-  } catch (const ProtocolError&) {
-  }
-  try {
-    (void)peek_version(payload);
+    abort_if(static_cast<std::uint8_t>(payload[1]) != kVersion);
   } catch (const ProtocolError&) {
   }
 
   try {
     const PlanRequest request = decode_plan_request(payload);
-    // Round trip at the version the frame arrived in: a v1 request has no
-    // deadline on the wire, so re-encoding at v1 must reproduce it.
-    const std::uint8_t version = peek_version(payload);
-    const PlanRequest again =
-        decode_plan_request(encode_plan_request(request, version));
+    const PlanRequest again = decode_plan_request(encode_plan_request(request));
     abort_if(!(again == request));
   } catch (const ProtocolError&) {
   }
 
-  // Introspection decoders (v3-only): same contract — return or throw
-  // ProtocolError, and whatever decodes must round-trip bit-exactly.
+  // Introspection decoders: same contract — return or throw ProtocolError,
+  // and whatever decodes must round-trip bit-exactly.
   try {
     decode_stats_request(payload);
   } catch (const ProtocolError&) {
@@ -102,12 +97,10 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
 
   try {
     const PlanReply reply = decode_plan_reply(payload);
-    const std::uint8_t version = peek_version(payload);
-    const PlanReply again = decode_plan_reply(encode_plan_reply(reply, version));
-    // v1 downgrades kOkStale/kDeadlineExceeded; re-decoding what we
-    // re-encoded must still be a fixed point of encode∘decode.
-    const PlanReply thrice =
-        decode_plan_reply(encode_plan_reply(again, version));
+    const PlanReply again = decode_plan_reply(encode_plan_reply(reply));
+    // A kOkStale status sets the stale flag bit on encode, so one round
+    // may add the bit; after that encode∘decode must be a fixed point.
+    const PlanReply thrice = decode_plan_reply(encode_plan_reply(again));
     abort_if(!(thrice == again));
   } catch (const ProtocolError&) {
   }

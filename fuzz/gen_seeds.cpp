@@ -1,21 +1,18 @@
-// Regenerates the BINARY seed corpora (fuzz/corpus/protocol,
-// fuzz/corpus/snapshot) from the encoders themselves, so the committed
-// seeds never drift from the wire format:
+// Regenerates the BINARY seed corpus (fuzz/corpus/protocol) from the
+// encoders themselves, so the committed seeds never drift from the wire
+// format:
 //
 //   ./fuzz_gen_seeds <path-to-fuzz/corpus>
 //
 // The text corpora (json, fault_spec, plan_text) are maintained by hand /
 // copied from tests/check/corpus and are NOT touched here.  Seeds are
-// deterministic: re-running produces byte-identical files (the snapshot
-// encoder sorts its entries; plan computation is pure).
+// deterministic: re-running produces byte-identical files.
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <string>
 
 #include "serve/protocol.h"
-#include "serve/server.h"
-#include "serve/snapshot.h"
 #include "serve/transport.h"
 
 namespace {
@@ -52,8 +49,16 @@ void protocol_seeds(const fs::path& dir) {
   request.bandwidth_mbps = 5.85;
   request.n_jobs = 20;
   request.deadline_ms = 250.0;
-  put(dir / "plan_request_v2.bin", encode_plan_request(request));
-  put(dir / "plan_request_v1.bin", encode_plan_request(request, 1));
+  request.trace_hi = 0x0123456789ABCDEFull;
+  request.trace_lo = 0xFEDCBA9876543210ull;
+  request.trace_parent_span = 42;
+  const std::string plan_request = encode_plan_request(request);
+  put(dir / "plan_request.bin", plan_request);
+  // An old v2 client's frame (no trace context): must decode to a
+  // ProtocolError, which fuzz_protocol asserts for every non-kVersion byte.
+  std::string v2 = plan_request.substr(0, plan_request.size() - 24);
+  v2[1] = 2;
+  put(dir / "plan_request_v2_refused.bin", v2);
 
   PlanReply reply;
   reply.status = Status::kOkStale;
@@ -63,10 +68,15 @@ void protocol_seeds(const fs::path& dir) {
   reply.bandwidth_bucket_mbps = 6.0;
   reply.makespan_ms = 1280.5;
   reply.mix = {{6, 12}, {7, 8}};
-  put(dir / "plan_reply_stale_v2.bin", encode_plan_reply(reply));
-  put(dir / "plan_reply_stale_v1.bin", encode_plan_reply(reply, 1));
+  put(dir / "plan_reply_stale.bin", encode_plan_reply(reply));
   put(dir / "ping.bin", encode_ping());
   put(dir / "ping_reply.bin", encode_ping_reply());
+  put(dir / "stats_request.bin", encode_stats_request());
+  put(dir / "stats_reply.bin",
+      encode_stats_reply({Status::kOk, R"({"counters":{}})"}));
+  put(dir / "trace_dump_request.bin", encode_trace_dump_request(8));
+  put(dir / "trace_dump_reply.bin",
+      encode_trace_dump_reply({Status::kOk, 3, R"({"traces":[]})"}));
 
   CaptureStream framed;
   write_frame(framed, encode_plan_request(request));
@@ -86,41 +96,6 @@ void protocol_seeds(const fs::path& dir) {
   put(dir / "bad_magic.bin", std::string("\x00\x01\x02\x03\x04", 5));
 }
 
-void snapshot_seeds(const fs::path& dir) {
-  fs::create_directories(dir);
-
-  // A real populated cache: run two plans through a Server and encode its
-  // cache — the exact bytes save_snapshot_if_configured would write.
-  ServerOptions options;
-  Server server(options);
-  for (const char* model : {"alexnet", "nin"}) {
-    PlanRequest request;
-    request.model = model;
-    request.bandwidth_mbps = 5.85;
-    request.n_jobs = 8;
-    const PlanReply reply = server.handle_plan(request);
-    if (!reply.ok()) {
-      std::fprintf(stderr, "seed plan failed: %s\n", reply.message.c_str());
-      std::exit(1);
-    }
-  }
-  const std::string valid = encode_cache_snapshot(server.cache());
-  server.stop();
-
-  put(dir / "snapshot_valid.bin", valid);
-  put(dir / "snapshot_truncated.bin", valid.substr(0, valid.size() / 2));
-
-  std::string flipped = valid;
-  flipped[flipped.size() / 2] =
-      static_cast<char>(flipped[flipped.size() / 2] ^ 0xFF);
-  put(dir / "snapshot_bitflip.bin", flipped);
-
-  std::string bad_magic = valid;
-  bad_magic[0] = 'X';
-  put(dir / "snapshot_bad_magic.bin", bad_magic);
-  put(dir / "snapshot_empty.bin", std::string());
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -130,6 +105,5 @@ int main(int argc, char** argv) {
   }
   const fs::path root(argv[1]);
   protocol_seeds(root / "protocol");
-  snapshot_seeds(root / "snapshot");
   return 0;
 }

@@ -186,25 +186,6 @@ std::shared_ptr<const PlanT> BasicPlanCache<PlanT>::plan(
 }
 
 template <class PlanT>
-void BasicPlanCache<PlanT>::insert_plan(const PlanCacheKey& key,
-                                        std::shared_ptr<const PlanT> plan) {
-  if (!plan) return;
-  Shard& shard = *shards_[shard_of(key)];
-  util::MutexLock lock(shard.mutex);
-  shard.plans.emplace(key, std::move(plan));  // first insert wins
-}
-
-template <class PlanT>
-auto BasicPlanCache<PlanT>::plan_entries() const -> std::vector<PlanEntry> {
-  std::vector<PlanEntry> out;
-  for (const auto& shard : shards_) {
-    util::SharedLock lock(shard->mutex);
-    out.insert(out.end(), shard->plans.begin(), shard->plans.end());
-  }
-  return out;
-}
-
-template <class PlanT>
 std::shared_ptr<const PlanT> BasicPlanCache<PlanT>::nearest_plan(
     const PlanCacheKey& want, double* bandwidth_out) const {
   std::shared_ptr<const PlanT> best;

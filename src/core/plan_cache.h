@@ -125,8 +125,6 @@ class BasicPlanCache {
   using PlanBuilder = std::function<ExecutionPlan()>;
   /// Builds the stored value itself (a PlanBuilder for PlanCache).
   using ValueBuilder = std::function<PlanT()>;
-  /// One exported plan-table entry (snapshot format, tests).
-  using PlanEntry = std::pair<PlanCacheKey, std::shared_ptr<const PlanT>>;
 
   /// `shards` is clamped to at least 1.
   explicit BasicPlanCache(std::size_t shards = 1);
@@ -152,14 +150,6 @@ class BasicPlanCache {
   /// plan() after a nullptr still has that lookup counted exactly once.
   [[nodiscard]] std::shared_ptr<const PlanT> find_plan(
       const PlanCacheKey& key);
-
-  /// Quiet insert for warm-start: no hit/miss accounting, first insert wins
-  /// (an already-cached key keeps its value — a reloaded snapshot must
-  /// never clobber a plan computed after startup).
-  void insert_plan(const PlanCacheKey& key, std::shared_ptr<const PlanT> plan);
-
-  /// Every plan-table entry, unordered.  Values are shared, not copied.
-  [[nodiscard]] std::vector<PlanEntry> plan_entries() const;
 
   /// The cached plan whose key matches `want` on every field except
   /// bandwidth, minimizing |bandwidth - want.bandwidth_mbps| (ties to the

@@ -12,34 +12,23 @@ constexpr std::uint8_t kFlagCoalesced = 1u << 0;
 constexpr std::uint8_t kFlagCacheHit = 1u << 1;
 constexpr std::uint8_t kFlagStale = 1u << 2;
 
-void check_version_arg(std::uint8_t version) {
-  if (version < kMinVersion || version > kVersion)
-    throw ProtocolError("serve: cannot encode protocol version " +
-                        std::to_string(version));
-}
-
 using namespace wire;
 
-std::string header(Op op, std::uint8_t version = kVersion) {
+std::string header(Op op) {
   std::string out;
   put_u8(out, kMagic);
-  put_u8(out, version);
+  put_u8(out, kVersion);
   put_u8(out, static_cast<std::uint8_t>(op));
   return out;
 }
 
-struct Header {
-  std::uint8_t version = kVersion;
-  Op op = Op::kPing;
-};
-
-Header check_header(Reader& reader) {
+Op check_header(Reader& reader) {
   if (reader.u8() != kMagic) throw ProtocolError("serve: bad magic byte");
-  Header h;
-  h.version = reader.u8();
-  if (h.version < kMinVersion || h.version > kVersion)
+  const std::uint8_t version = reader.u8();
+  if (version != kVersion)
     throw ProtocolError("serve: unsupported protocol version " +
-                        std::to_string(h.version));
+                        std::to_string(version) + " (expected version " +
+                        std::to_string(kVersion) + ")");
   const std::uint8_t op = reader.u8();
   switch (static_cast<Op>(op)) {
     case Op::kPlan:
@@ -50,19 +39,9 @@ Header check_header(Reader& reader) {
     case Op::kPingReply:
     case Op::kStatsReply:
     case Op::kTraceDumpReply:
-      h.op = static_cast<Op>(op);
-      return h;
+      return static_cast<Op>(op);
   }
   throw ProtocolError("serve: unknown op " + std::to_string(op));
-}
-
-// The introspection ops did not exist before v3; an older version byte on
-// one of their frames means a broken peer, not an old one.
-void require_v3(std::uint8_t version, const char* what) {
-  if (version < 3)
-    throw ProtocolError(std::string("serve: ") + what +
-                        " requires protocol version 3 (got " +
-                        std::to_string(version) + ")");
 }
 
 // Read exactly `size` bytes or fail.  `any` reports whether anything had
@@ -103,36 +82,23 @@ bool status_is_retryable(Status status) {
          status == Status::kDeadlineExceeded;
 }
 
-std::string encode_plan_request(const PlanRequest& request,
-                                std::uint8_t version) {
-  check_version_arg(version);
-  std::string out = header(Op::kPlan, version);
+std::string encode_plan_request(const PlanRequest& request) {
+  std::string out = header(Op::kPlan);
   put_str16(out, request.tenant);
   put_str16(out, request.model);
   put_f64(out, request.bandwidth_mbps);
   put_u8(out, static_cast<std::uint8_t>(request.strategy));
   put_u32(out, static_cast<std::uint32_t>(request.n_jobs));
-  if (version >= 2) put_f64(out, request.deadline_ms);
-  if (version >= 3) {
-    put_u64(out, request.trace_hi);
-    put_u64(out, request.trace_lo);
-    put_u64(out, request.trace_parent_span);
-  }
+  put_f64(out, request.deadline_ms);
+  put_u64(out, request.trace_hi);
+  put_u64(out, request.trace_lo);
+  put_u64(out, request.trace_parent_span);
   return out;
 }
 
-std::string encode_plan_reply(const PlanReply& reply, std::uint8_t version) {
-  check_version_arg(version);
-  std::string out = header(Op::kPlanReply, version);
-  Status status = reply.status;
-  if (version < 2) {
-    // Downgrade v2-only statuses for old decoders.  kOkStale stays a
-    // usable plan (the stale flag bit below preserves the distinction);
-    // kDeadlineExceeded becomes the closest "retry later" a v1 client knows.
-    if (status == Status::kOkStale) status = Status::kOk;
-    if (status == Status::kDeadlineExceeded) status = Status::kUnavailable;
-  }
-  put_u8(out, static_cast<std::uint8_t>(status));
+std::string encode_plan_reply(const PlanReply& reply) {
+  std::string out = header(Op::kPlanReply);
+  put_u8(out, static_cast<std::uint8_t>(reply.status));
   std::uint8_t flags = 0;
   if (reply.coalesced) flags |= kFlagCoalesced;
   if (reply.cache_hit) flags |= kFlagCacheHit;
@@ -153,36 +119,23 @@ std::string encode_ping() { return header(Op::kPing); }
 
 std::string encode_ping_reply() { return header(Op::kPingReply); }
 
-std::string encode_stats_request(std::uint8_t version) {
-  check_version_arg(version);
-  require_v3(version, "kStats");
-  return header(Op::kStats, version);
-}
+std::string encode_stats_request() { return header(Op::kStats); }
 
-std::string encode_stats_reply(const StatsReply& reply,
-                               std::uint8_t version) {
-  check_version_arg(version);
-  require_v3(version, "kStatsReply");
-  std::string out = header(Op::kStatsReply, version);
+std::string encode_stats_reply(const StatsReply& reply) {
+  std::string out = header(Op::kStatsReply);
   put_u8(out, static_cast<std::uint8_t>(reply.status));
   put_str32(out, reply.json);
   return out;
 }
 
-std::string encode_trace_dump_request(std::uint32_t max_traces,
-                                      std::uint8_t version) {
-  check_version_arg(version);
-  require_v3(version, "kTraceDump");
-  std::string out = header(Op::kTraceDump, version);
+std::string encode_trace_dump_request(std::uint32_t max_traces) {
+  std::string out = header(Op::kTraceDump);
   put_u32(out, max_traces);
   return out;
 }
 
-std::string encode_trace_dump_reply(const TraceDumpReply& reply,
-                                    std::uint8_t version) {
-  check_version_arg(version);
-  require_v3(version, "kTraceDumpReply");
-  std::string out = header(Op::kTraceDumpReply, version);
+std::string encode_trace_dump_reply(const TraceDumpReply& reply) {
+  std::string out = header(Op::kTraceDumpReply);
   put_u8(out, static_cast<std::uint8_t>(reply.status));
   put_u32(out, reply.remaining);
   put_str32(out, reply.json);
@@ -191,18 +144,12 @@ std::string encode_trace_dump_reply(const TraceDumpReply& reply,
 
 Op peek_op(std::string_view payload) {
   Reader reader(payload);
-  return check_header(reader).op;
-}
-
-std::uint8_t peek_version(std::string_view payload) {
-  Reader reader(payload);
-  return check_header(reader).version;
+  return check_header(reader);
 }
 
 PlanRequest decode_plan_request(std::string_view payload) {
   Reader reader(payload);
-  const Header h = check_header(reader);
-  if (h.op != Op::kPlan)
+  if (check_header(reader) != Op::kPlan)
     throw ProtocolError("serve: payload is not a plan request");
   PlanRequest request;
   request.tenant = reader.str16();
@@ -217,19 +164,17 @@ PlanRequest decode_plan_request(std::string_view payload) {
   if (n_jobs > 0x7FFFFFFFu)
     throw ProtocolError("serve: n_jobs out of range");
   request.n_jobs = static_cast<std::int32_t>(n_jobs);
-  if (h.version >= 2) request.deadline_ms = reader.f64();
-  if (h.version >= 3) {
-    request.trace_hi = reader.u64();
-    request.trace_lo = reader.u64();
-    request.trace_parent_span = reader.u64();
-  }
+  request.deadline_ms = reader.f64();
+  request.trace_hi = reader.u64();
+  request.trace_lo = reader.u64();
+  request.trace_parent_span = reader.u64();
   reader.expect_done();
   return request;
 }
 
 PlanReply decode_plan_reply(std::string_view payload) {
   Reader reader(payload);
-  if (check_header(reader).op != Op::kPlanReply)
+  if (check_header(reader) != Op::kPlanReply)
     throw ProtocolError("serve: payload is not a plan reply");
   PlanReply reply;
   const std::uint8_t status = reader.u8();
@@ -271,19 +216,15 @@ Status read_status(Reader& reader) {
 
 void decode_stats_request(std::string_view payload) {
   Reader reader(payload);
-  const Header h = check_header(reader);
-  if (h.op != Op::kStats)
+  if (check_header(reader) != Op::kStats)
     throw ProtocolError("serve: payload is not a stats request");
-  require_v3(h.version, "kStats");
   reader.expect_done();
 }
 
 std::uint32_t decode_trace_dump_request(std::string_view payload) {
   Reader reader(payload);
-  const Header h = check_header(reader);
-  if (h.op != Op::kTraceDump)
+  if (check_header(reader) != Op::kTraceDump)
     throw ProtocolError("serve: payload is not a trace-dump request");
-  require_v3(h.version, "kTraceDump");
   const std::uint32_t max_traces = reader.u32();
   reader.expect_done();
   return max_traces;
@@ -291,10 +232,8 @@ std::uint32_t decode_trace_dump_request(std::string_view payload) {
 
 StatsReply decode_stats_reply(std::string_view payload) {
   Reader reader(payload);
-  const Header h = check_header(reader);
-  if (h.op != Op::kStatsReply)
+  if (check_header(reader) != Op::kStatsReply)
     throw ProtocolError("serve: payload is not a stats reply");
-  require_v3(h.version, "kStatsReply");
   StatsReply reply;
   reply.status = read_status(reader);
   reply.json = reader.str32();
@@ -304,10 +243,8 @@ StatsReply decode_stats_reply(std::string_view payload) {
 
 TraceDumpReply decode_trace_dump_reply(std::string_view payload) {
   Reader reader(payload);
-  const Header h = check_header(reader);
-  if (h.op != Op::kTraceDumpReply)
+  if (check_header(reader) != Op::kTraceDumpReply)
     throw ProtocolError("serve: payload is not a trace-dump reply");
-  require_v3(h.version, "kTraceDumpReply");
   TraceDumpReply reply;
   reply.status = read_status(reader);
   reply.remaining = reader.u32();

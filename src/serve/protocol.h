@@ -3,28 +3,26 @@
 // Frame layout (all integers little-endian, doubles as IEEE-754 bits):
 //
 //   frame   := u32 payload_length | payload           (length excludes itself)
-//   payload := u8 magic (0x4A 'J') | u8 version (1..3) | u8 op | body
+//   payload := u8 magic (0x4A 'J') | u8 version (3) | u8 op | body
 //
 // Ops and bodies:
 //
 //   kPlan (1) — plan request
 //     body := str16 tenant | str16 model | f64 bandwidth_mbps
-//             | u8 strategy | u32 n_jobs
-//             | f64 deadline_ms                        (version >= 2 only)
-//             | u64 trace_hi | u64 trace_lo
-//             | u64 trace_parent_span                  (version >= 3 only)
+//             | u8 strategy | u32 n_jobs | f64 deadline_ms
+//             | u64 trace_hi | u64 trace_lo | u64 trace_parent_span
 //   kPing (2) — liveness probe; empty body
-//   kStats (3) — v3 only: live metrics scrape; empty body
-//   kTraceDump (4) — v3 only: drain the flight recorder
+//   kStats (3) — live metrics scrape; empty body
+//   kTraceDump (4) — drain the flight recorder
 //     body := u32 max_traces                           (0 = server's batch cap)
 //   kPlanReply (129)
 //     body := u8 status | u8 flags | str16 message
 //             | f64 bandwidth_bucket_mbps | f64 makespan_ms
 //             | u32 mix_count | mix_count * (u32 cut | u32 count)
 //   kPingReply (130) — empty body
-//   kStatsReply (131) — v3 only
+//   kStatsReply (131)
 //     body := u8 status | str32 json     (a MetricsSnapshot, obs::to_json)
-//   kTraceDumpReply (132) — v3 only
+//   kTraceDumpReply (132)
 //     body := u8 status | u32 remaining | str32 json
 //             (json = obs::flight_records_json; `remaining` traces are still
 //              queued server-side — issue further kTraceDump frames to drain)
@@ -36,22 +34,13 @@
 //          PlanCache rather than a fresh Planner run), bit 2 = stale (a
 //          degraded-mode reply: the plan came from a nearby bandwidth
 //          bucket while the tenant's breaker is open).  Decoders ignore
-//          unknown flag bits, which is what makes adding bits minor-
-//          version-compatible.
+//          unknown flag bits, so a new bit needs no new version.
 //
-// Versioning: version 2 added the plan request's trailing deadline_ms and
-// the kDeadlineExceeded/kOkStale statuses.  Servers accept any version in
-// [kMinVersion, kVersion] and answer each frame at the version it arrived
-// with: a v1 request simply has no deadline, and a v1 reply downgrades
-// kOkStale to kOk + the stale flag bit (old decoders ignore the bit;
-// new ones recover staleness from it) and kDeadlineExceeded to
-// kUnavailable (both are "retry later" to a v1 client).
-//
-// Version 3 added the plan request's trailing trace context (an all-zero
-// context means "not traced" — exactly how a v1/v2 frame decodes) and the
-// introspection ops kStats/kTraceDump with their replies.  The
-// introspection ops exist only in v3: their decoders throw ProtocolError
-// for older versions, since an old peer could never have sent them.
+// Versioning: the protocol has one version, kVersion (3).  Every client is
+// built from this tree and always speaks it, so a frame carrying any other
+// version byte is refused at the header with a ProtocolError; the server
+// answers it with one INVALID_ARGUMENT reply naming version 3 and keeps the
+// connection.
 //
 // A payload longer than kMaxFrameBytes is a protocol error: the reader
 // refuses it *before* allocating, so a hostile or corrupt length prefix
@@ -78,10 +67,9 @@
 namespace jps::serve {
 
 inline constexpr std::uint8_t kMagic = 0x4A;
-/// Current (preferred) protocol version; encoders default to it.
+/// The one protocol version: every encoder writes it, every decoder
+/// accepts only it.
 inline constexpr std::uint8_t kVersion = 3;
-/// Oldest version still accepted — deployed v1 clients keep working.
-inline constexpr std::uint8_t kMinVersion = 1;
 /// Largest accepted payload.  Plan replies are ~tens of bytes per distinct
 /// cut; 1 MiB leaves three orders of magnitude of headroom.
 inline constexpr std::uint32_t kMaxFrameBytes = 1u << 20;
@@ -89,12 +77,12 @@ inline constexpr std::uint32_t kMaxFrameBytes = 1u << 20;
 enum class Op : std::uint8_t {
   kPlan = 1,
   kPing = 2,
-  kStats = 3,      // v3
-  kTraceDump = 4,  // v3
+  kStats = 3,
+  kTraceDump = 4,
   kPlanReply = 129,
   kPingReply = 130,
-  kStatsReply = 131,      // v3
-  kTraceDumpReply = 132,  // v3
+  kStatsReply = 131,
+  kTraceDumpReply = 132,
 };
 
 /// Reply status (gRPC-style vocabulary).
@@ -106,8 +94,8 @@ enum class Status : std::uint8_t {
   kUnavailable = 4,       // server draining/stopped, or breaker open with
                           // no stale plan to degrade to
   kInternal = 5,          // planning threw (bug; message carries the what())
-  kDeadlineExceeded = 6,  // v2: the request's deadline passed server-side
-  kOkStale = 7,           // v2: degraded mode — a usable plan from a nearby
+  kDeadlineExceeded = 6,  // the request's deadline passed server-side
+  kOkStale = 7,           // degraded mode — a usable plan from a nearby
                           // bandwidth bucket, served while the tenant's
                           // breaker is open
 };
@@ -144,13 +132,11 @@ struct PlanRequest {
   std::int32_t n_jobs = 1;
   /// Relative budget, measured from server-side arrival (no clock sync
   /// needed): the server answers kDeadlineExceeded once the budget is
-  /// spent.  0 means no deadline.  Wire version >= 2 only; decoding a v1
-  /// request leaves it 0.
+  /// spent.  0 means no deadline.
   double deadline_ms = 0.0;
   /// Client trace context (obs::TraceContext): the 128-bit trace id plus
   /// the client-side span the server's root span should parent onto.  All
-  /// zero means "not traced" — the value v1/v2 frames decode to.  Wire
-  /// version >= 3 only.
+  /// zero means "not traced".
   std::uint64_t trace_hi = 0;
   std::uint64_t trace_lo = 0;
   std::uint64_t trace_parent_span = 0;
@@ -171,8 +157,7 @@ struct PlanReply {
   bool cache_hit = false;
   /// Degraded mode: the plan was computed for a NEARBY bandwidth bucket
   /// (reported in bandwidth_bucket_mbps) while the tenant's breaker was
-  /// open.  True exactly when the stale flag bit is set; survives the
-  /// v1 status downgrade of kOkStale to kOk.
+  /// open.  True exactly when the stale flag bit is set.
   bool stale = false;
   /// The quantized bandwidth the plan was actually computed at.
   double bandwidth_bucket_mbps = 0.0;
@@ -208,33 +193,23 @@ struct TraceDumpReply {
       default;
 };
 
-/// Payload encoders (everything after the length prefix).  `version` lets
-/// the server answer a v1 client in v1 (and tests emit old-client frames);
-/// it must lie in [kMinVersion, kVersion].  The introspection encoders
-/// additionally require version >= 3.
-[[nodiscard]] std::string encode_plan_request(const PlanRequest& request,
-                                              std::uint8_t version = kVersion);
-[[nodiscard]] std::string encode_plan_reply(const PlanReply& reply,
-                                            std::uint8_t version = kVersion);
+/// Payload encoders (everything after the length prefix), at kVersion.
+[[nodiscard]] std::string encode_plan_request(const PlanRequest& request);
+[[nodiscard]] std::string encode_plan_reply(const PlanReply& reply);
 [[nodiscard]] std::string encode_ping();
 [[nodiscard]] std::string encode_ping_reply();
-[[nodiscard]] std::string encode_stats_request(std::uint8_t version = kVersion);
-[[nodiscard]] std::string encode_stats_reply(const StatsReply& reply,
-                                             std::uint8_t version = kVersion);
+[[nodiscard]] std::string encode_stats_request();
+[[nodiscard]] std::string encode_stats_reply(const StatsReply& reply);
 [[nodiscard]] std::string encode_trace_dump_request(
-    std::uint32_t max_traces = 0, std::uint8_t version = kVersion);
-[[nodiscard]] std::string encode_trace_dump_reply(
-    const TraceDumpReply& reply, std::uint8_t version = kVersion);
+    std::uint32_t max_traces = 0);
+[[nodiscard]] std::string encode_trace_dump_reply(const TraceDumpReply& reply);
 
-/// Payload decoders; throw ProtocolError on bad magic/version/op, a
-/// truncated body, or trailing bytes.
+/// Payload decoders; throw ProtocolError on bad magic, a version other than
+/// kVersion, an unknown or unexpected op, a truncated body, or trailing
+/// bytes.
 [[nodiscard]] Op peek_op(std::string_view payload);
-/// The version byte of a payload (validated against [kMinVersion,
-/// kVersion]); the server answers each frame at the version it arrived in.
-[[nodiscard]] std::uint8_t peek_version(std::string_view payload);
 [[nodiscard]] PlanRequest decode_plan_request(std::string_view payload);
 [[nodiscard]] PlanReply decode_plan_reply(std::string_view payload);
-/// v3-only decoders (ProtocolError when the frame's version is older).
 /// A kStats request has an empty body; decoding it only validates the frame.
 void decode_stats_request(std::string_view payload);
 [[nodiscard]] std::uint32_t decode_trace_dump_request(

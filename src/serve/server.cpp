@@ -18,7 +18,6 @@
 #include "obs/obs.h"
 #include "obs/trace_context.h"
 #include "profile/latency_model.h"
-#include "serve/snapshot.h"
 #include "util/log.h"
 
 namespace jps::serve {
@@ -315,35 +314,6 @@ Server::Server(ServerOptions options)
     recorder.set_capacity(options_.flight_recorder_capacity);
   if (options_.flight_recorder_sample_every > 0)
     recorder.set_sample_every(options_.flight_recorder_sample_every);
-
-  if (!options_.snapshot_path.empty()) {
-    const SnapshotLoadResult loaded =
-        load_cache_snapshot(cache_, options_.snapshot_path);
-    if (loaded.entries > 0) {
-      warm_start_entries_.store(loaded.entries, std::memory_order_relaxed);
-      obs::counter("serve.warm_start_entries").add(loaded.entries);
-    }
-    if (options_.snapshot_interval_ms > 0.0) {
-      snapshot_thread_ = std::thread([this] {
-        const auto interval = std::chrono::duration<double, std::milli>(
-            options_.snapshot_interval_ms);
-        util::MutexLock lock(snapshot_mutex_);
-        while (!stopping_.load(std::memory_order_acquire)) {
-          // Fixed deadline so spurious wakeups re-enter the wait with the
-          // remaining budget; a stop() notification breaks out early.
-          const auto deadline = std::chrono::steady_clock::now() + interval;
-          while (!stopping_.load(std::memory_order_acquire) &&
-                 snapshot_cv_.wait_until(lock, deadline) !=
-                     std::cv_status::timeout) {
-          }
-          if (stopping_.load(std::memory_order_acquire)) break;
-          lock.unlock();
-          save_snapshot_if_configured();
-          lock.lock();
-        }
-      });
-    }
-  }
 }
 
 Server::~Server() { stop(); }
@@ -720,13 +690,8 @@ void Server::handle_connection(ByteStream& stream) {
     }
     if (!payload) break;  // clean EOF
 
-    // Answer each frame at the version it arrived with, so one connection
-    // may mix v1, v2, and v3 requests (and an unparseable header falls back
-    // to the current version for the error reply).
-    std::uint8_t version = kVersion;
     std::string out;
     try {
-      version = peek_version(*payload);
       switch (peek_op(*payload)) {
         case Op::kPing: {
           obs::ScopedTimer timer(ping_ms);
@@ -741,11 +706,11 @@ void Server::handle_connection(ByteStream& stream) {
           // Encoding inside the tracer's lifetime keeps serialization cost
           // attributed to the request's trace.
           obs::Span encode_span("serve.encode", "serve");
-          out = encode_plan_reply(reply, version);
+          out = encode_plan_reply(reply);
           break;
         }
         case Op::kStats:
-          decode_stats_request(*payload);  // validates op + version >= 3
+          decode_stats_request(*payload);  // validates the empty body
           out = encode_stats_reply(build_stats_reply());
           break;
         case Op::kTraceDump:
@@ -757,17 +722,15 @@ void Server::handle_connection(ByteStream& stream) {
       }
     } catch (const ProtocolError& e) {
       // The frame boundary held, so the connection is still usable — answer
-      // with an error instead of hanging up.  (Introspection ops on a pre-v3
-      // frame land here too: the error reply names the version requirement.)
+      // with an error instead of hanging up.  (A frame at another protocol
+      // version lands here too: the error reply names the version spoken.)
       protocol_errors_.fetch_add(1, std::memory_order_relaxed);
       protocol_errors.add();
-      out = encode_plan_reply(error_reply(Status::kInvalidArgument, e.what()),
-                              kVersion);
+      out = encode_plan_reply(error_reply(Status::kInvalidArgument, e.what()));
     } catch (const std::exception& e) {
       // Anything else is a server fault, not the peer's: answer INTERNAL and
       // keep both the connection and the daemon alive.
-      out = encode_plan_reply(error_reply(Status::kInternal, e.what()),
-                              kVersion);
+      out = encode_plan_reply(error_reply(Status::kInternal, e.what()));
     }
 
     try {
@@ -796,21 +759,6 @@ void Server::serve(Listener& listener) {
   stop();
 }
 
-void Server::save_snapshot_if_configured() {
-  if (options_.snapshot_path.empty()) return;
-  static obs::Counter& saves = obs::counter("serve.snapshot_saves");
-  try {
-    save_cache_snapshot(cache_, options_.snapshot_path);
-    snapshot_saves_.fetch_add(1, std::memory_order_relaxed);
-    saves.add();
-  } catch (const std::exception& e) {
-    // A failed save costs warmth after the NEXT restart, never availability
-    // now — and the previous snapshot (if any) is still intact.
-    util::log_line(util::LogLevel::kWarn, "plan-cache snapshot save failed",
-                   {{"path", options_.snapshot_path}, {"error", e.what()}});
-  }
-}
-
 void Server::stop() {
   // Refuse new work first (idempotent), then serialize the drain itself
   // under stop_mutex_, so every concurrent caller, not just the first, owns
@@ -818,12 +766,6 @@ void Server::stop() {
   stopping_.store(true, std::memory_order_release);
   util::MutexLock stop_lock(stop_mutex_);
   if (stop_complete_) return;
-  {
-    // Lock/unlock pairs with the snapshot thread's predicate re-check, so
-    // the notify below cannot slot between its check and its wait.
-    util::MutexLock lock(snapshot_mutex_);
-  }
-  snapshot_cv_.notify_all();
   {
     util::MutexLock lock(connections_mutex_);
     for (ByteStream* stream : connections_)
@@ -834,10 +776,6 @@ void Server::stop() {
     util::MutexLock lock(inflight_mutex_);
     while (!inflight_.empty()) inflight_drained_.wait(lock);
   }
-  if (snapshot_thread_.joinable()) snapshot_thread_.join();
-  // Final save AFTER the leaders have drained: it holds every admitted
-  // computation's plan, so a restart warm-starts from a complete cache.
-  save_snapshot_if_configured();
   stop_complete_ = true;
 }
 
@@ -853,8 +791,6 @@ ServerStats Server::stats() const {
   s.deadline_exceeded = deadline_exceeded_.load(std::memory_order_relaxed);
   s.stale_served = stale_served_.load(std::memory_order_relaxed);
   s.breaker_opens = breaker_.opens();
-  s.warm_start_entries = warm_start_entries_.load(std::memory_order_relaxed);
-  s.snapshot_saves = snapshot_saves_.load(std::memory_order_relaxed);
   s.stats_scrapes = stats_scrapes_.load(std::memory_order_relaxed);
   s.trace_dumps = trace_dumps_.load(std::memory_order_relaxed);
   return s;

@@ -34,8 +34,9 @@
 // Transport: handle_connection() speaks the serve/protocol.h framing over
 // any ByteStream, so tests drive the full server through in-process pipes
 // and serve() runs the same loop over a Listener's accepted sockets.  The
-// connection loop never lets an exception escape: malformed payloads get an
-// error reply, unframeable streams are closed.  serve() runs connections on
+// connection loop never lets an exception escape: malformed payloads, and
+// frames at any protocol version but kVersion, get an error reply;
+// unframeable streams are closed.  serve() runs connections on
 // reused threads (leader/followers): idle threads block in accept(), and a
 // thread that takes a connection while no other thread waits there starts
 // one more first (unless a served connection is ending: its peer closed,
@@ -44,7 +45,7 @@
 // thread is created per connection.
 //
 // Resilience (PR 8 — see docs/ROBUSTNESS.md "Serve-path resilience"):
-//   * Deadlines — a v2 request may carry a relative deadline_ms budget,
+//   * Deadlines — a request may carry a relative deadline_ms budget,
 //     checked at admission, before planning, and again before the reply;
 //     an expired request answers kDeadlineExceeded immediately instead of
 //     occupying the planner (a computed plan still lands in the cache).
@@ -52,14 +53,10 @@
 //     when open, requests skip planning and degrade to the nearest-
 //     bandwidth stale plan from the cache, tagged kOkStale.  No stale
 //     candidate => kUnavailable.
-//   * Snapshots — with options.snapshot_path set, the plan cache is
-//     reloaded at startup and saved atomically on drain (and every
-//     snapshot_interval_ms while running), so a restart answers from warm
-//     cache instead of stampeding the planner (serve/snapshot.h).
 //
 // Observability (PR 10 — see docs/OBSERVABILITY.md "Request tracing"):
 //   * Tracing — every request runs under an obs::TraceContext (adopted from
-//     a v3 frame's trace fields, or minted fresh), so its admission /
+//     the frame's trace fields, or minted fresh), so its admission /
 //     cache-lookup / plan-compute or coalesce-wait / encode spans form one
 //     causal tree.  Every request's tree stays on its connection thread: a
 //     leader plans there, a follower waits there.
@@ -90,7 +87,6 @@
 #include <future>
 #include <memory>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -132,11 +128,6 @@ struct ServerOptions {
   /// reaches; set breaker_enabled = false to disable entirely.
   bool breaker_enabled = true;
   BreakerOptions breaker{};
-  /// Plan-cache snapshot file for crash-safe warm-start; "" disables.
-  /// Loaded at construction, saved atomically on drain.
-  std::string snapshot_path;
-  /// > 0: additionally save the snapshot every this-many ms while running.
-  double snapshot_interval_ms = 0.0;
   /// Test hook: artificial delay inside each miss's decision (ms).  Lets tests
   /// hold a leader's computation open deterministically to observe
   /// coalescing and overload shedding.  0 in production.
@@ -170,10 +161,6 @@ struct ServerStats {
   std::uint64_t stale_served = 0;
   /// Closed -> open breaker transitions across all tenants.
   std::uint64_t breaker_opens = 0;
-  /// Entries reloaded from the snapshot at startup.
-  std::uint64_t warm_start_entries = 0;
-  /// Successful snapshot saves (timer + drain).
-  std::uint64_t snapshot_saves = 0;
   /// Live introspection ops answered (kStats / kTraceDump frames).
   std::uint64_t stats_scrapes = 0;
   std::uint64_t trace_dumps = 0;
@@ -260,8 +247,6 @@ class Server {
   /// deadline check 3 and the breaker's record of the outcome.
   [[nodiscard]] PlanReply finish_reply(const PlanRequest& request,
                                        double arrival_ms, PlanReply reply);
-  /// Write the snapshot if configured; never throws (failures are logged).
-  void save_snapshot_if_configured();
 
   ServerOptions options_;
   TenantAdmission admission_;
@@ -271,17 +256,12 @@ class Server {
   std::atomic<bool> stopping_{false};
 
   // Serializes the drain itself: every stop() caller — not just the first —
-  // returns only after connections are half-closed, the snapshot thread is
-  // joined, and the final snapshot is saved.  Before this lock existed, a
-  // second concurrent stop() returned early and its caller could destroy
-  // the Server while the first was still draining.
+  // returns only after connections are half-closed and every pending
+  // leader's decision is cached.  Before this lock existed, a second
+  // concurrent stop() returned early and its caller could destroy the
+  // Server while the first was still draining.
   util::Mutex stop_mutex_{"serve.server.stop"};
   bool stop_complete_ JPS_GUARDED_BY(stop_mutex_) = false;
-
-  // Periodic snapshot writer; joined (after a final save) by stop().
-  std::thread snapshot_thread_;
-  util::Mutex snapshot_mutex_{"serve.server.snapshot"};
-  util::CondVar snapshot_cv_;
 
   // Each model's candidate lanes, built on its first miss; the model's
   // graph is dropped once they are built.
@@ -313,8 +293,6 @@ class Server {
   std::atomic<std::uint64_t> protocol_errors_{0};
   std::atomic<std::uint64_t> deadline_exceeded_{0};
   std::atomic<std::uint64_t> stale_served_{0};
-  std::atomic<std::uint64_t> warm_start_entries_{0};
-  std::atomic<std::uint64_t> snapshot_saves_{0};
   std::atomic<std::uint64_t> stats_scrapes_{0};
   std::atomic<std::uint64_t> trace_dumps_{0};
   // Last breaker_.opens() mirrored into the serve.breaker_opens counter.

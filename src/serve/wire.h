@@ -1,7 +1,6 @@
-// Little-endian field codecs shared by the wire protocol (serve/protocol.h)
-// and the plan-cache snapshot format (serve/snapshot.h): put_* append a
-// field to a byte string, Reader is a bounds-checked cursor that throws
-// ProtocolError on a short read.
+// Little-endian field codecs of the wire protocol (serve/protocol.h): put_*
+// append a field to a byte string, Reader is a bounds-checked cursor that
+// throws ProtocolError on a short read.
 #pragma once
 
 #include <bit>

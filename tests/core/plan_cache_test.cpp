@@ -245,9 +245,10 @@ TEST(ShardedPlanCache, FindPlanLookupsAddUpAcrossShards) {
 TEST(ShardedPlanCache, NearestPlanPicksTheClosestBucketAcrossShards) {
   ShardedPlanCache cache(4);
   for (const double mbps : {2.0, 4.0, 6.0}) {
-    cache.insert_plan({"alexnet", "pi4b", mbps, Strategy::kJPS, 4},
-                      std::make_shared<const PlanDecision>(PlanDecision{
-                          1, 2, 3, mbps * 10.0}));
+    (void)cache.plan({"alexnet", "pi4b", mbps, Strategy::kJPS, 4},
+                     ShardedPlanCache::ValueBuilder([mbps] {
+                       return PlanDecision{1, 2, 3, mbps * 10.0};
+                     }));
   }
   double bw = 0.0;
   const auto at = [&](double want, int n_jobs = 4) {

@@ -1,7 +1,7 @@
 // Lock-order checker false-positive gate: the full 16-client serve stress
 // runs with the checker in its strictest mode (kAbort, hook-captured) and
 // must produce ZERO diagnostics — the server's real acquisition orders
-// (stop -> snapshot/connections/inflight, connections -> pipe,
+// (stop -> connections/inflight, connections -> pipe,
 // inflight -> breaker, plan-cache -> obs registry) are all consistent, and
 // the checker must agree under genuine concurrency, not just in the
 // synthetic ABBA test.
@@ -39,9 +39,6 @@ TEST(LockOrderStress, SixteenClientServeStressHasZeroFalsePositives) {
   {
     ServerOptions options;
     options.max_inflight = 6;
-    options.snapshot_path =
-        ::testing::TempDir() + "/jps_lock_order_stress_snapshot.bin";
-    options.snapshot_interval_ms = 5.0;  // exercise the timer thread's locks
     Server server(options);
 
     std::vector<std::thread> server_threads;
@@ -75,7 +72,7 @@ TEST(LockOrderStress, SixteenClientServeStressHasZeroFalsePositives) {
     }
     for (std::thread& t : client_threads) t.join();
     for (std::thread& t : server_threads) t.join();
-    server.stop();  // drain path: stop -> snapshot/connections -> pipe
+    server.stop();  // drain path: stop -> connections -> pipe
     EXPECT_GT(replies.load(), 0);
   }
 

@@ -126,11 +126,6 @@ TEST(Protocol, UnknownStrategyAndStatusCodesThrow) {
   payload[payload.size() - 37] = 0x7F;
   EXPECT_THROW((void)decode_plan_request(payload), ProtocolError);
 
-  // v1 tail layout: u8 strategy | u32 n_jobs.
-  std::string v1 = encode_plan_request(sample_request(), /*version=*/1);
-  v1[v1.size() - 5] = 0x7F;
-  EXPECT_THROW((void)decode_plan_request(v1), ProtocolError);
-
   std::string reply = encode_plan_reply(sample_reply());
   reply[3] = 0x7F;  // status byte right after the header
   EXPECT_THROW((void)decode_plan_reply(reply), ProtocolError);
@@ -150,45 +145,10 @@ TEST(Versioning, V2RequestCarriesTheDeadline) {
   PlanRequest request = sample_request();
   request.deadline_ms = 12.5;
   const std::string payload = encode_plan_request(request);
-  EXPECT_EQ(peek_version(payload), kVersion);
+  EXPECT_EQ(payload[1], static_cast<char>(kVersion));
   const PlanRequest decoded = decode_plan_request(payload);
   EXPECT_DOUBLE_EQ(decoded.deadline_ms, 12.5);
   EXPECT_EQ(decoded, request);
-}
-
-TEST(Versioning, V1RequestDecodesWithNoDeadline) {
-  // An old client cannot express a deadline; the field must come back 0
-  // ("no deadline"), never garbage.
-  PlanRequest request = sample_request();
-  request.deadline_ms = 99.0;  // dropped by the v1 encoder
-  const std::string payload = encode_plan_request(request, /*version=*/1);
-  EXPECT_EQ(peek_version(payload), 1);
-  const PlanRequest decoded = decode_plan_request(payload);
-  EXPECT_DOUBLE_EQ(decoded.deadline_ms, 0.0);
-  request.deadline_ms = 0.0;
-  EXPECT_EQ(decoded, request);
-}
-
-TEST(Versioning, V1ReplyDowngradesStaleToOkButKeepsTheFlag) {
-  PlanReply reply = sample_reply();
-  reply.status = Status::kOkStale;
-  reply.stale = true;
-  const PlanReply decoded =
-      decode_plan_reply(encode_plan_reply(reply, /*version=*/1));
-  EXPECT_EQ(decoded.status, Status::kOk);  // v1 client sees a usable plan
-  EXPECT_TRUE(decoded.stale);              // the flag bit survives
-  EXPECT_TRUE(decoded.has_plan());
-}
-
-TEST(Versioning, V1ReplyDowngradesDeadlineExceededToUnavailable) {
-  PlanReply reply;
-  reply.status = Status::kDeadlineExceeded;
-  reply.message = "deadline";
-  const PlanReply decoded =
-      decode_plan_reply(encode_plan_reply(reply, /*version=*/1));
-  // Both mean "retry later" to a v1 client; retryability is preserved.
-  EXPECT_EQ(decoded.status, Status::kUnavailable);
-  EXPECT_TRUE(status_is_retryable(decoded.status));
 }
 
 TEST(Versioning, V2ReplyRoundTripsTheNewStatuses) {
@@ -201,15 +161,24 @@ TEST(Versioning, V2ReplyRoundTripsTheNewStatuses) {
 }
 
 TEST(Versioning, OutOfRangeVersionsAreRefused) {
-  const PlanRequest request = sample_request();
-  EXPECT_THROW((void)encode_plan_request(request, 0), ProtocolError);
-  EXPECT_THROW((void)encode_plan_request(request, kVersion + 1),
-               ProtocolError);
-  // A frame claiming a future version is rejected at the header.
-  std::string payload = encode_plan_request(request);
-  payload[1] = static_cast<char>(kVersion + 1);
-  EXPECT_THROW((void)peek_version(payload), ProtocolError);
-  EXPECT_THROW((void)decode_plan_request(payload), ProtocolError);
+  // kVersion is the only version: older and newer version bytes are both
+  // refused at the header, and the error names the version spoken.
+  for (const int version : {0, 1, 2, kVersion + 1, 255}) {
+    std::string request = encode_plan_request(sample_request());
+    request[1] = static_cast<char>(version);
+    EXPECT_THROW((void)peek_op(request), ProtocolError) << version;
+    EXPECT_THROW((void)decode_plan_request(request), ProtocolError);
+    try {
+      (void)decode_plan_request(request);
+    } catch (const ProtocolError& e) {
+      EXPECT_NE(std::string(e.what()).find("expected version 3"),
+                std::string::npos)
+          << e.what();
+    }
+    std::string reply = encode_plan_reply(sample_reply());
+    reply[1] = static_cast<char>(version);
+    EXPECT_THROW((void)decode_plan_reply(reply), ProtocolError) << version;
+  }
 }
 
 TEST(Protocol, RetryableStatusVocabulary) {

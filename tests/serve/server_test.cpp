@@ -8,8 +8,6 @@
 
 #include <chrono>
 #include <cmath>
-#include <cstdio>
-#include <fstream>
 #include <limits>
 #include <map>
 #include <memory>
@@ -25,7 +23,6 @@
 #include "partition/profile_curve.h"
 #include "profile/latency_model.h"
 #include "serve/client.h"
-#include "serve/snapshot.h"
 
 namespace jps::serve {
 namespace {
@@ -279,10 +276,7 @@ TEST(Server, FailingLeaderFailsItsFollowersToo) {
 }
 
 TEST(Server, StopWaitsForAPendingLeader) {
-  const std::string path = ::testing::TempDir() + "/jps_server_stop_drain.bin";
-  std::remove(path.c_str());
   ServerOptions options;
-  options.snapshot_path = path;
   options.debug_plan_delay_ms = 100.0;  // the leader is mid-compute at stop()
   Server server(options);
   const PlanRequest request = request_for("alexnet", 6.0, 3);
@@ -296,27 +290,18 @@ TEST(Server, StopWaitsForAPendingLeader) {
   while (server.inflight() == 0) std::this_thread::yield();
   server.stop();
 
-  // stop() returned only after the leader's plan reached the cache ...
+  // stop() returned only after the leader's decision reached the cache:
+  // the exact key is there (nearest_plan reports the key's own bandwidth).
   EXPECT_EQ(server.inflight(), 0u);
-  const std::vector<core::ShardedPlanCache::PlanEntry> cached =
-      server.cache().plan_entries();
-  ASSERT_EQ(cached.size(), 1u);
-  EXPECT_EQ(cached[0].first, key);
+  EXPECT_EQ(server.cache().plan_count(), 1u);
+  double cached_mbps = 0.0;
+  const auto cached = server.cache().nearest_plan(key, &cached_mbps);
+  ASSERT_NE(cached, nullptr);
+  EXPECT_EQ(cached_mbps, key.bandwidth_mbps);
   leader.join();
   ASSERT_TRUE(reply.ok()) << reply.message;
-  EXPECT_EQ(cached[0].second->predicted_makespan, reply.makespan_ms);
-  EXPECT_EQ(cached[0].second->mix(request.n_jobs), reply.mix);
-
-  // ... so the final snapshot holds it.
-  core::ShardedPlanCache restored(1);
-  const SnapshotLoadResult loaded = load_cache_snapshot(restored, path);
-  EXPECT_TRUE(loaded.ok);
-  EXPECT_EQ(loaded.entries, 1u);
-  const auto saved = restored.find_plan(key);
-  ASSERT_NE(saved, nullptr);
-  EXPECT_EQ(*saved, *cached[0].second);
-  EXPECT_EQ(saved->predicted_makespan, reply.makespan_ms);
-  std::remove(path.c_str());
+  EXPECT_EQ(cached->predicted_makespan, reply.makespan_ms);
+  EXPECT_EQ(cached->mix(request.n_jobs), reply.mix);
 }
 
 TEST(Server, StopDrainsAndRefusesNewWork) {
@@ -607,102 +592,46 @@ TEST(Server, BreakerCanBeDisabled) {
   EXPECT_EQ(server.stats().breaker_opens, 0u);
 }
 
-// ---- snapshot warm-start (tentpole: crash-safe cache) -------------------
+// ---- one wire version ---------------------------------------------------
 
-TEST(Server, SnapshotWarmStartAnswersFromCacheAfterRestart) {
-  const std::string path =
-      ::testing::TempDir() + "/jps_server_snapshot_test.bin";
-  std::remove(path.c_str());
-
-  const PlanRequest request = request_for("alexnet", 10.0, 4);
-  double makespan = 0.0;
-  {
-    ServerOptions options;
-    options.snapshot_path = path;
-    Server server(options);
-    const PlanReply reply = server.handle_plan(request);
-    ASSERT_TRUE(reply.ok());
-    makespan = reply.makespan_ms;
-    server.stop();  // drain saves the snapshot
-    EXPECT_GE(server.stats().snapshot_saves, 1u);
-  }
-  {
-    ServerOptions options;
-    options.snapshot_path = path;
-    Server server(options);  // "restarted process"
-    EXPECT_EQ(server.stats().warm_start_entries, 1u);
-    const PlanReply reply = server.handle_plan(request);
-    EXPECT_TRUE(reply.ok());
-    EXPECT_TRUE(reply.cache_hit);
-    EXPECT_EQ(reply.makespan_ms, makespan);  // bit-identical across restart
-    EXPECT_EQ(server.stats().plans_computed, 0u);
-    EXPECT_EQ(server.stats().cache_hits, 1u);
-  }
-  std::remove(path.c_str());
+// A v1 frame (no deadline, no trace context) or v2 frame (no trace
+// context), byte for byte as an old client sent it.
+std::string old_plan_frame(std::uint8_t version, const PlanRequest& request) {
+  std::string frame = encode_plan_request(request);
+  frame.resize(frame.size() - 24 - (version == 1 ? 8 : 0));
+  frame[1] = static_cast<char>(version);
+  return frame;
 }
 
-TEST(Server, CorruptSnapshotIsIgnoredNeverFatal) {
-  const std::string path =
-      ::testing::TempDir() + "/jps_server_snapshot_corrupt.bin";
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out << "JPSSNAP\nnot really a snapshot";
-  }
-  ServerOptions options;
-  options.snapshot_path = path;
-  Server server(options);  // must construct cleanly
-  EXPECT_EQ(server.stats().warm_start_entries, 0u);
-  EXPECT_TRUE(server.handle_plan(request_for("alexnet", 10, 2)).ok());
-  std::remove(path.c_str());
-}
-
-TEST(Server, SnapshotTimerSavesWhileRunning) {
-  const std::string path =
-      ::testing::TempDir() + "/jps_server_snapshot_timer.bin";
-  std::remove(path.c_str());
-  ServerOptions options;
-  options.snapshot_path = path;
-  options.snapshot_interval_ms = 20.0;
-  Server server(options);
-  ASSERT_TRUE(server.handle_plan(request_for("alexnet", 10, 2)).ok());
-  // The timer must fire without any drain happening.
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while (server.stats().snapshot_saves == 0 &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  EXPECT_GE(server.stats().snapshot_saves, 1u);
-  server.stop();
-  std::remove(path.c_str());
-  std::remove((path + ".tmp").c_str());
-}
-
-// ---- mixed-version connections (tentpole: deadline propagation) ---------
-
-TEST(Connection, V1AndV2FramesShareAConnectionAndGetMatchingReplies) {
+TEST(Connection, OldVersionFramesGetOneInvalidArgumentReplyEach) {
   Server server{ServerOptions{}};
   StreamPair pair = make_in_process_pair();
   std::thread conn([&] { server.handle_connection(*pair.first); });
 
-  // v1 frame: answered in v1.
-  write_frame(*pair.second,
-              encode_plan_request(request_for("alexnet", 10, 4), 1));
-  auto payload = read_frame(*pair.second);
-  ASSERT_TRUE(payload.has_value());
-  EXPECT_EQ(peek_version(*payload), 1);
-  EXPECT_TRUE(decode_plan_reply(*payload).ok());
+  for (const std::uint8_t version : {std::uint8_t{1}, std::uint8_t{2}}) {
+    write_frame(*pair.second,
+                old_plan_frame(version, request_for("alexnet", 10, 4)));
+    const auto refusal = read_frame(*pair.second);
+    ASSERT_TRUE(refusal.has_value());
+    const PlanReply reply = decode_plan_reply(*refusal);
+    EXPECT_EQ(reply.status, Status::kInvalidArgument) << int(version);
+    EXPECT_NE(reply.message.find("version 3"), std::string::npos)
+        << reply.message;
 
-  // v2 frame on the SAME connection: answered in v2.
-  write_frame(*pair.second,
-              encode_plan_request(request_for("alexnet", 10, 4), kVersion));
-  payload = read_frame(*pair.second);
-  ASSERT_TRUE(payload.has_value());
-  EXPECT_EQ(peek_version(*payload), kVersion);
-  EXPECT_TRUE(decode_plan_reply(*payload).ok());
+    // Exactly one reply: the next v3 request on the same connection gets
+    // its own answer, and it is OK.
+    write_frame(*pair.second,
+                encode_plan_request(request_for("alexnet", 10, 4)));
+    const auto answer = read_frame(*pair.second);
+    ASSERT_TRUE(answer.has_value());
+    EXPECT_TRUE(decode_plan_reply(*answer).ok());
+  }
 
   pair.second->close();
   conn.join();
+  EXPECT_EQ(server.stats().protocol_errors, 2u);
+  // The refused frames never reached planning.
+  EXPECT_EQ(server.stats().requests, 2u);
 }
 
 // ---- connection-loop negative paths (satellite: protocol robustness) ----

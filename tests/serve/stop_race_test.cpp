@@ -1,19 +1,16 @@
 // Regression: concurrent Server::stop() callers must each get the FULL
 // drain postcondition.  Before the fix, stop() was gated on a bare
-// stopping_.exchange — the losing caller returned after only
-// pool_.shutdown(), while the winner was still half-closing connections,
-// joining the snapshot thread, and writing the final snapshot.  A caller
-// acting on stop()'s contract (e.g. destroying the Server, or reading the
-// snapshot file) then raced the winner's remaining drain work.  This test
-// failed (snapshot_saves == 0 observed after stop() returned) on the
-// pre-fix code within a few iterations; with the stop_mutex_-serialized
-// drain it must never fail.
+// stopping_.exchange — the losing caller returned at once, while the
+// winner was still half-closing connections and waiting for the pending
+// leader.  A caller acting on stop()'s contract (e.g. destroying the
+// Server, or reading the cache) then raced the winner's remaining drain
+// work.  With the stop_mutex_-serialized drain this test must never fail;
+// with the bare exchange back, the losing stopper sees the leader still in
+// flight and its decision not yet cached.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
-#include <cstdio>
-#include <fstream>
 #include <future>
 #include <string>
 #include <thread>
@@ -25,37 +22,38 @@ namespace jps::serve {
 namespace {
 
 TEST(ServerStopRace, EveryStopperSeesTheFullDrainPostcondition) {
-  const std::string path =
-      ::testing::TempDir() + "/jps_stop_race_snapshot.bin";
-
   for (int iteration = 0; iteration < 20; ++iteration) {
-    std::remove(path.c_str());
-
     ServerOptions options;
-    options.snapshot_path = path;
     // Holds the leader's computation open so stop() has real draining to
     // do — the window the losing stopper used to escape through.
     options.debug_plan_delay_ms = 10.0;
     Server server(options);
 
-    std::thread requester([&server] {
-      PlanRequest request;
-      request.model = "alexnet";
-      request.bandwidth_mbps = 4.0;
-      request.n_jobs = 2;
-      (void)server.handle_plan(request);  // kOk or kUnavailable: both fine
-    });
-    // Let the leader reach the pool before the drain starts.
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    PlanRequest request;
+    request.model = "alexnet";
+    request.bandwidth_mbps = 4.0;
+    request.n_jobs = 2;
+    const core::PlanCacheKey key(
+        request.model, options.device.name,
+        quantize_bandwidth(request.bandwidth_mbps,
+                           options.bandwidth_bucket_mbps),
+        request.strategy, request.n_jobs);
+    std::thread requester([&] { (void)server.handle_plan(request); });
+    // The drain starts only once the leader is admitted, so stop() must
+    // wait for its decision.
+    while (server.inflight() == 0) std::this_thread::yield();
 
     std::atomic<int> violations{0};
     const auto stop_and_check = [&] {
       server.stop();
-      // stop()'s contract: by the time ANY caller returns, the final
-      // snapshot has been saved and is on disk.
-      if (server.stats().snapshot_saves < 1) violations.fetch_add(1);
-      std::ifstream in(path, std::ios::binary);
-      if (!in.good()) violations.fetch_add(1);
+      // stop()'s contract: by the time ANY caller returns, no leader is
+      // pending and the leader's decision is cached under its exact key
+      // (nearest_plan reports the key's own bandwidth).
+      if (server.inflight() != 0) violations.fetch_add(1);
+      double cached_mbps = 0.0;
+      if (server.cache().nearest_plan(key, &cached_mbps) == nullptr ||
+          cached_mbps != key.bandwidth_mbps)
+        violations.fetch_add(1);
     };
     std::thread stopper_a(stop_and_check);
     std::thread stopper_b(stop_and_check);
@@ -67,7 +65,6 @@ TEST(ServerStopRace, EveryStopperSeesTheFullDrainPostcondition) {
     EXPECT_TRUE(server.stopped());
     server.stop();  // still idempotent after the race
   }
-  std::remove(path.c_str());
 }
 
 // Regression: a connection that registers after stop() has half-closed the

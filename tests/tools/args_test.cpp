@@ -108,5 +108,21 @@ TEST(Args, UsageErrorsNameTheFlagAndValue) {
   }
 }
 
+TEST(Args, RejectUnknownNamesTheFlagNotInTheList) {
+  const Args args =
+      make_args({"serve", "--port", "0", "--no-breaker", "--snapshot=x"});
+  EXPECT_NO_THROW(args.reject_unknown({"port", "no-breaker", "snapshot"}));
+  try {
+    args.reject_unknown({"port", "no-breaker"});
+    FAIL() << "expected UsageError";
+  } catch (const UsageError& e) {
+    EXPECT_EQ(std::string(e.what()), "unknown flag --snapshot");
+  }
+  // Positionals are not flags; bare switches are.
+  EXPECT_NO_THROW(make_args({"serve", "extra"}).reject_unknown({}));
+  EXPECT_THROW(make_args({"serve", "--chaos"}).reject_unknown({"port"}),
+               UsageError);
+}
+
 }  // namespace
 }  // namespace jps::tools

@@ -2,11 +2,13 @@
 // plus a leading positional subcommand.
 #pragma once
 
+#include <algorithm>
 #include <limits>
 #include <stdexcept>
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/strings.h"
@@ -91,6 +93,14 @@ class Args {
 
   [[nodiscard]] bool has(const std::string& key) const {
     return flags_.count(key) != 0;
+  }
+
+  /// Throws UsageError naming the first flag that is not in `known`, so a
+  /// misspelt or retired flag fails instead of being silently ignored.
+  void reject_unknown(const std::vector<std::string_view>& known) const {
+    for (const auto& [key, value] : flags_)
+      if (std::find(known.begin(), known.end(), key) == known.end())
+        throw UsageError("unknown flag --" + key);
   }
 
  private:

@@ -33,12 +33,12 @@
 //       against a direct Planner run.  CI's smoke test.  With --chaos the
 //       same check runs under scripted transport faults (delays, 1-byte
 //       reads, mid-frame disconnects, corrupted bytes) — every SUCCESSFUL
-//       reply must still be bit-identical — and finishes with a
-//       kill-and-restart cycle proving snapshot warm-start.
+//       reply must still be bit-identical.
+//
+// Each command refuses any flag it does not read (exit 64), before the
+// daemon binds its socket.
 //
 // Exit codes: 0 success, 1 runtime failure, 64 usage error.
-#include <unistd.h>
-
 #include <algorithm>
 #include <atomic>
 #include <csignal>
@@ -47,6 +47,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -92,9 +93,6 @@ void usage() {
       "  --tenant-rate X       per-tenant requests/sec (default 0 = unlimited)\n"
       "  --tenant-burst X      per-tenant burst allowance (default 16)\n"
       "  --cache-shards N      plan-cache lock stripes (default 8)\n"
-      "  --snapshot FILE       plan-cache snapshot: load at start, save on\n"
-      "                        drain (crash-safe warm-start)\n"
-      "  --snapshot-interval-ms X  also save every X ms while running\n"
       "  --no-breaker          disable the per-tenant circuit breaker\n"
       "  --breaker-window N    rolling outcomes per tenant (default 32)\n"
       "  --breaker-min-samples N   outcomes before judgement (default 8)\n"
@@ -126,11 +124,28 @@ void usage() {
       "  --timeout-ms X        client read timeout (0 = block forever)\n"
       "  --retries N           extra attempts on retryable failures\n"
       "\n"
-      "selfcheck flags:\n"
+      "selfcheck flags (plus every serve flag but --port and --metrics-*):\n"
       "  --clients N --requests N   concurrency and per-client request count\n"
       "  --chaos                    inject scripted transport faults and\n"
-      "                             verify bit-identity + snapshot warm-start\n";
+      "                             verify bit-identity\n";
 }
+
+// The flags each command reads.  Anything else is a usage error.
+using Flags = std::vector<std::string_view>;
+
+Flags operator+(Flags a, const Flags& b) {
+  a.insert(a.end(), b.begin(), b.end());
+  return a;
+}
+
+// Read by server_options().
+const Flags kServerFlags = {
+    "max-inflight", "bucket-mbps", "tenant-rate", "tenant-burst",
+    "cache-shards", "no-breaker", "breaker-window", "breaker-min-samples",
+    "breaker-ratio", "breaker-cooldown-ms", "no-flight-recorder",
+    "trace-capacity", "trace-sample-every"};
+// Read by connect_client().
+const Flags kClientFlags = {"host", "port", "retries", "timeout-ms"};
 
 core::Strategy parse_strategy(const std::string& name) {
   const std::string s = util::to_lower(name);
@@ -152,8 +167,6 @@ serve::ServerOptions server_options(const tools::Args& args) {
   options.tenant_burst = args.get_double("tenant-burst", 16.0);
   options.cache_shards =
       static_cast<std::size_t>(args.get_int("cache-shards", 8));
-  options.snapshot_path = args.get("snapshot", "");
-  options.snapshot_interval_ms = args.get_double("snapshot-interval-ms", 0.0);
   options.breaker_enabled = !args.has("no-breaker");
   options.breaker.window =
       static_cast<std::size_t>(args.get_int("breaker-window", 32));
@@ -196,6 +209,9 @@ extern "C" void handle_shutdown_signal(int) {
 }
 
 int cmd_serve(const tools::Args& args) {
+  args.reject_unknown(kServerFlags + Flags{"port", "metrics-out",
+                                           "metrics-format",
+                                           "metrics-interval-ms"});
   serve::Server server(server_options(args));
   const int port = args.get_int("port", 7421);
   if (port < 0 || port > 65535) throw tools::UsageError("--port out of range");
@@ -207,9 +223,8 @@ int cmd_serve(const tools::Args& args) {
   std::cout << "jps_serve listening on 127.0.0.1:" << listener.port()
             << std::endl;
 
-  // Periodic metrics writer (same fixed-deadline timer shape as the server's
-  // snapshot thread).  Each write is atomic (tmp + rename), so a scraper
-  // tailing the file never reads a torn snapshot.
+  // Periodic metrics writer.  Each write is atomic (tmp + rename), so a
+  // scraper tailing the file never reads a torn snapshot.
   const double metrics_interval_ms = args.get_double("metrics-interval-ms", 0.0);
   const std::string metrics_path = args.get("metrics-out", "");
   const std::string metrics_format = args.get("metrics-format", "openmetrics");
@@ -266,9 +281,7 @@ int cmd_serve(const tools::Args& args) {
             << " protocol_errors=" << stats.protocol_errors
             << " deadline_exceeded=" << stats.deadline_exceeded
             << " stale_served=" << stats.stale_served
-            << " breaker_opens=" << stats.breaker_opens
-            << " warm_start_entries=" << stats.warm_start_entries
-            << " snapshot_saves=" << stats.snapshot_saves << std::endl;
+            << " breaker_opens=" << stats.breaker_opens << std::endl;
 
   if (args.has("metrics-out")) {
     obs::write_metrics_file(args.get("metrics-out", "metrics.txt"),
@@ -298,6 +311,8 @@ serve::Client connect_client(const tools::Args& args) {
 }
 
 int cmd_plan(const tools::Args& args) {
+  args.reject_unknown(kClientFlags + Flags{"model", "bandwidth", "strategy",
+                                           "jobs", "tenant", "deadline-ms"});
   if (!args.has("model")) throw tools::UsageError("plan requires --model");
   serve::PlanRequest request;
   request.tenant = args.get("tenant", "");
@@ -313,6 +328,7 @@ int cmd_plan(const tools::Args& args) {
 }
 
 int cmd_ping(const tools::Args& args) {
+  args.reject_unknown(kClientFlags);
   serve::Client client = connect_client(args);
   if (client.ping()) {
     std::cout << "pong\n";
@@ -323,6 +339,7 @@ int cmd_ping(const tools::Args& args) {
 }
 
 int cmd_stats(const tools::Args& args) {
+  args.reject_unknown(kClientFlags + Flags{"watch", "interval-ms"});
   const bool watch = args.has("watch");
   const double interval_ms = args.get_double("interval-ms", 1000.0);
   if (interval_ms <= 0.0) throw tools::UsageError("--interval-ms must be > 0");
@@ -362,6 +379,8 @@ void write_chrome_trace(
 }
 
 int cmd_trace(const tools::Args& args) {
+  args.reject_unknown(kClientFlags +
+                      Flags{"watch", "interval-ms", "max", "chrome-out"});
   const bool watch = args.has("watch");
   const double interval_ms = args.get_double("interval-ms", 1000.0);
   if (interval_ms <= 0.0) throw tools::UsageError("--interval-ms must be > 0");
@@ -585,57 +604,6 @@ int chaos_corrupt(serve::Server& server, const std::vector<Case>& cases) {
   return failures;
 }
 
-// Kill-and-restart: a server with a snapshot path is driven, drained (which
-// saves), and REPLACED; the successor must warm-start from the snapshot and
-// answer every request from cache without recomputing a single plan.
-int chaos_warm_start(const serve::ServerOptions& base,
-                     const std::vector<Case>& cases) {
-  int failures = 0;
-  const std::string snap_path =
-      "/tmp/jps_serve_chaos_snapshot." + std::to_string(::getpid());
-  serve::ServerOptions options = base;
-  options.snapshot_path = snap_path;
-
-  {
-    serve::Server first(options);
-    for (const Case& expect : cases)
-      if (!verify_reply(expect, first.handle_plan(expect.request),
-                        "warm-start/first"))
-        ++failures;
-    first.stop();  // drain writes the snapshot
-  }
-  {
-    serve::Server second(options);
-    const serve::ServerStats born = second.stats();
-    if (born.warm_start_entries == 0) {
-      std::fprintf(stderr,
-                   "selfcheck[warm-start]: restart loaded 0 entries\n");
-      ++failures;
-    }
-    for (const Case& expect : cases)
-      if (!verify_reply(expect, second.handle_plan(expect.request),
-                        "warm-start/second"))
-        ++failures;
-    const serve::ServerStats stats = second.stats();
-    if (stats.plans_computed != 0 ||
-        stats.cache_hits != cases.size()) {
-      std::fprintf(stderr,
-                   "selfcheck[warm-start]: expected all %zu replies from warm "
-                   "cache, got plans_computed=%llu cache_hits=%llu\n",
-                   cases.size(),
-                   static_cast<unsigned long long>(stats.plans_computed),
-                   static_cast<unsigned long long>(stats.cache_hits));
-      ++failures;
-    }
-    second.stop();
-    std::cout << "selfcheck[warm-start]: entries=" << born.warm_start_entries
-              << " cache_hits=" << stats.cache_hits << "\n";
-  }
-  std::remove(snap_path.c_str());
-  std::remove((snap_path + ".tmp").c_str());
-  return failures;
-}
-
 // Live-introspection leg of selfcheck: against the already-loaded server,
 // (1) two STATS scrapes bracketing a plan request must both parse and show
 // monotonically increasing request counters, and (2) a TRACE_DUMP drain must
@@ -728,6 +696,7 @@ int selfcheck_introspect(serve::Server& server, const std::vector<Case>& cases) 
 }
 
 int cmd_selfcheck(const tools::Args& args) {
+  args.reject_unknown(kServerFlags + Flags{"clients", "requests", "chaos"});
   const int clients = args.get_int("clients", 8);
   const int requests = args.get_int("requests", 16);
   if (clients < 1 || requests < 1)
@@ -787,7 +756,6 @@ int cmd_selfcheck(const tools::Args& args) {
     }
   }
   server.stop();
-  if (chaos) failures.fetch_add(chaos_warm_start(options, cases));
 
   const serve::ServerStats stats = server.stats();
   std::cout << "selfcheck: clients=" << clients << " requests="
