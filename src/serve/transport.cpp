@@ -7,6 +7,7 @@
 #include <cstring>
 #include <deque>
 #include <stdexcept>
+#include <utility>
 
 #include "util/mutex.h"
 
@@ -239,6 +240,41 @@ StreamPair make_in_process_pair(std::size_t capacity) {
   pair.first = std::make_unique<InProcessStream>(b_to_a, a_to_b);
   pair.second = std::make_unique<InProcessStream>(a_to_b, b_to_a);
   return pair;
+}
+
+void InProcessListener::push(std::unique_ptr<ByteStream> stream) {
+  {
+    util::MutexLock lock(mutex_);
+    if (closed_) throw std::runtime_error("serve: listener is closed");
+    queue_.push_back(std::move(stream));
+  }
+  ready_.notify_one();
+}
+
+std::unique_ptr<ByteStream> InProcessListener::connect() {
+  StreamPair pair = make_in_process_pair();
+  push(std::move(pair.first));
+  return std::move(pair.second);
+}
+
+std::unique_ptr<ByteStream> InProcessListener::accept() {
+  util::MutexLock lock(mutex_);
+  while (queue_.empty() && !closed_) ready_.wait(lock);
+  if (closed_) return nullptr;
+  std::unique_ptr<ByteStream> stream = std::move(queue_.front());
+  queue_.pop_front();
+  return stream;
+}
+
+void InProcessListener::close() {
+  std::deque<std::unique_ptr<ByteStream>> unaccepted;
+  {
+    util::MutexLock lock(mutex_);
+    closed_ = true;
+    unaccepted.swap(queue_);
+  }
+  ready_.notify_all();
+  for (const std::unique_ptr<ByteStream>& stream : unaccepted) stream->close();
 }
 
 SocketListener::SocketListener(std::uint16_t port) {

@@ -1,6 +1,6 @@
-// Byte transports for the plan server: an in-process pipe pair (tests,
-// selfcheck, benches — no real network, no ports, deterministic teardown)
-// and blocking loopback/TCP sockets (the jps_serve daemon).
+// Byte transports for the plan server: an in-process pipe pair and its
+// listener (tests and selfcheck — no real network, no ports, deterministic
+// teardown) and blocking loopback/TCP sockets (the jps_serve daemon).
 //
 // The server and client only ever see the ByteStream interface, so every
 // protocol and concurrency test runs against the exact code path the
@@ -18,10 +18,12 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <stdexcept>
 #include <string>
-#include <utility>
+
+#include "util/mutex.h"
 
 namespace jps::serve {
 
@@ -77,34 +79,6 @@ class ByteStream {
   }
 };
 
-/// Non-owning view of a shared stream end, forwarding every call.  Client
-/// wants sole ownership of its ByteStream; tests, selfcheck, and benches
-/// want to keep a handle to the same end (to sever or inspect it mid-run) —
-/// they hold the shared_ptr and hand the Client a BorrowedStream.
-class BorrowedStream final : public ByteStream {
- public:
-  explicit BorrowedStream(std::shared_ptr<ByteStream> target)
-      : target_(std::move(target)) {}
-
-  [[nodiscard]] std::size_t read(char* out, std::size_t max) override {
-    return target_->read(out, max);
-  }
-  void write(const char* data, std::size_t size) override {
-    target_->write(data, size);
-  }
-  void shutdown_read() override { target_->shutdown_read(); }
-  void close() override { target_->close(); }
-  void set_read_timeout_ms(double ms) override {
-    target_->set_read_timeout_ms(ms);
-  }
-  [[nodiscard]] bool finished(std::uint64_t written) const override {
-    return target_->finished(written);
-  }
-
- private:
-  std::shared_ptr<ByteStream> target_;
-};
-
 /// Two connected in-process endpoints: bytes written to one are read from
 /// the other, through bounded buffers (`capacity` bytes per direction, so a
 /// stalled reader backpressures the writer just like a TCP window).
@@ -125,6 +99,33 @@ class Listener {
   /// Unblock accept() permanently.  Idempotent, callable from any thread
   /// (including a signal-triggered shutdown path).
   virtual void close() = 0;
+};
+
+/// A Listener over in-process connections, so Server::serve runs many
+/// clients with no sockets: each connect() (or push()) is one accept().
+class InProcessListener final : public Listener {
+ public:
+  /// Queue `stream` as the server end of a connection; accept() returns
+  /// queued streams in FIFO order.  Throws std::runtime_error once close()
+  /// has run.
+  void push(std::unique_ptr<ByteStream> stream);
+
+  /// A new make_in_process_pair() connection: queues one end for accept()
+  /// and returns the other, the client's.  Throws std::runtime_error once
+  /// close() has run.
+  [[nodiscard]] std::unique_ptr<ByteStream> connect();
+
+  [[nodiscard]] std::unique_ptr<ByteStream> accept() override;
+
+  /// Streams still queued are closed, so their clients read EOF.  Takes a
+  /// lock, so unlike SocketListener::close it is not for signal handlers.
+  void close() override;
+
+ private:
+  util::Mutex mutex_{"serve.in_process_listener"};
+  util::CondVar ready_;
+  std::deque<std::unique_ptr<ByteStream>> queue_ JPS_GUARDED_BY(mutex_);
+  bool closed_ JPS_GUARDED_BY(mutex_) = false;
 };
 
 /// Blocking TCP listener bound to 127.0.0.1:`port` (0 picks an ephemeral

@@ -83,8 +83,9 @@ TEST(PlanCache, KeysCanonicalizeNegativeZero) {
     builds.fetch_add(1);
     return build_alexnet_curve(5.85);
   };
-  cache.curve({"alexnet", "pi4b", 0.0}, build);
-  cache.curve({"alexnet", "pi4b", -0.0}, build);
+  const auto positive_curve = cache.curve({"alexnet", "pi4b", 0.0}, build);
+  const auto negative_curve = cache.curve({"alexnet", "pi4b", -0.0}, build);
+  EXPECT_EQ(negative_curve.get(), positive_curve.get());
   EXPECT_EQ(builds.load(), 1);
   EXPECT_EQ(cache.curve_count(), 1u);
 }

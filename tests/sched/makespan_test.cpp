@@ -161,8 +161,8 @@ TEST(Lanes, MatchJobSpanOverloadsBitwise) {
 TEST(Lanes, RejectMismatchedLengths) {
   const std::vector<double> f = {1.0, 2.0};
   const std::vector<double> g = {3.0};
-  EXPECT_THROW(flowshop2_makespan(f, g), std::invalid_argument);
-  EXPECT_THROW(closed_form_makespan(f, g), std::invalid_argument);
+  EXPECT_THROW((void)flowshop2_makespan(f, g), std::invalid_argument);
+  EXPECT_THROW((void)closed_form_makespan(f, g), std::invalid_argument);
 }
 
 TEST(Lanes, EmptyLanesAreZero) {

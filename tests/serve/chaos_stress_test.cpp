@@ -1,7 +1,7 @@
 // Chaos + concurrency acceptance (runs under TSan in CI): 16 mixed-tenant
 // clients push the full wire protocol through FaultyByteStream decorators
-// while the server handles them on worker threads, then a second scenario
-// drains the server mid-fault.  The chaos here is LOSSLESS (delay + short
+// while Server::serve handles them on its connection threads, then a second
+// scenario drains the server mid-fault by closing its listener.  The chaos here is LOSSLESS (delay + short
 // windows only — no drops, no corruption), so the PR's serve invariant must
 // hold exactly: every admitted request gets exactly one reply, and the
 // server's accounting balances against what the clients observed.
@@ -53,20 +53,14 @@ TEST(ChaosStress, SixteenClientsThroughLosslessChaos) {
   std::atomic<int> bad_replies{0};
   std::atomic<int> client_errors{0};
 
-  std::vector<std::thread> server_threads;
-  std::vector<std::thread> client_threads;
+  InProcessListener listener;
+  std::thread serving([&] { server.serve(listener); });
+  std::vector<std::thread> clients;
   for (int c = 0; c < kClients; ++c) {
-    StreamPair pair = make_in_process_pair();
-    server_threads.emplace_back(
-        [&server, s = std::shared_ptr<ByteStream>(std::move(pair.first))] {
-          server.handle_connection(*s);
-        });
-    client_threads.emplace_back([&, c,
-                                 end = std::shared_ptr<ByteStream>(
-                                     std::move(pair.second))]() mutable {
+    clients.emplace_back([&, c] {
       try {
-        Client client(std::make_unique<FaultyByteStream>(
-            std::make_unique<BorrowedStream>(end), spec));
+        Client client(
+            std::make_unique<FaultyByteStream>(listener.connect(), spec));
         for (int r = 0; r < kRequestsPerClient; ++r) {
           PlanRequest request;
           request.tenant = "tenant-" + std::to_string(c % 4);
@@ -89,9 +83,9 @@ TEST(ChaosStress, SixteenClientsThroughLosslessChaos) {
     });
   }
 
-  for (std::thread& t : client_threads) t.join();
-  for (std::thread& t : server_threads) t.join();
-  server.stop();
+  for (std::thread& t : clients) t.join();
+  listener.close();
+  serving.join();
 
   const ServerStats stats = server.stats();
   EXPECT_EQ(client_errors.load(), 0);
@@ -118,18 +112,12 @@ TEST(ChaosStress, DrainMidFaultBalancesTheBooks) {
 
   std::atomic<int> replies_received{0};
 
-  std::vector<std::thread> server_threads;
-  std::vector<std::thread> client_threads;
+  InProcessListener listener;
+  std::thread serving([&] { server.serve(listener); });
+  std::vector<std::thread> clients;
   for (int c = 0; c < kClients; ++c) {
-    StreamPair pair = make_in_process_pair();
-    server_threads.emplace_back(
-        [&server, s = std::shared_ptr<ByteStream>(std::move(pair.first))] {
-          server.handle_connection(*s);
-        });
-    client_threads.emplace_back([&, c,
-                                 end = std::shared_ptr<ByteStream>(
-                                     std::move(pair.second))]() mutable {
-      FaultyByteStream chaotic(std::make_unique<BorrowedStream>(end), spec);
+    clients.emplace_back([&, c, end = listener.connect()]() mutable {
+      FaultyByteStream chaotic(std::move(end), spec);
       try {
         for (int r = 0; r < 60; ++r) {
           PlanRequest request;
@@ -148,12 +136,12 @@ TEST(ChaosStress, DrainMidFaultBalancesTheBooks) {
     });
   }
 
-  // Drain while faults are live and clients are mid-conversation.
+  // Drain while faults are live and clients are mid-conversation: closing
+  // the listener makes serve() run stop() and join its threads.
   while (replies_received.load() < 25) std::this_thread::yield();
-  server.stop();
-
-  for (std::thread& t : client_threads) t.join();
-  for (std::thread& t : server_threads) t.join();
+  listener.close();
+  serving.join();
+  for (std::thread& t : clients) t.join();
 
   const ServerStats stats = server.stats();
   EXPECT_TRUE(server.stopped());

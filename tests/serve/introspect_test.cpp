@@ -37,8 +37,8 @@ ServerOptions traced_options() {
   return options;
 }
 
-// One in-process connection: the server handles `pair.first` on its own
-// thread; the caller talks through `pair.second`.
+// One in-process connection for the single-client cases: the server
+// handles `pair.first` on its own thread; the caller talks through `end`.
 struct Connection {
   explicit Connection(Server& server) {
     StreamPair pair = make_in_process_pair();
@@ -192,6 +192,8 @@ TEST_F(IntrospectTest, ScrapesStayConsistentUnderConcurrentLoad) {
   constexpr int kRequests = 20;
 
   Server server(traced_options());
+  InProcessListener listener;
+  std::thread serving([&] { server.serve(listener); });
   std::atomic<int> failures{0};
   std::atomic<int> plans_done{0};
   std::atomic<bool> stop_scrapers{false};
@@ -200,8 +202,7 @@ TEST_F(IntrospectTest, ScrapesStayConsistentUnderConcurrentLoad) {
   std::latch scrapers_ready(2);
 
   std::thread stats_scraper([&] {
-    Connection conn(server);
-    Client client(std::move(conn.end));
+    Client client(listener.connect());
     double last = -1.0;
     do {
       const util::Json json = util::Json::parse(client.scrape_stats().json);
@@ -217,8 +218,7 @@ TEST_F(IntrospectTest, ScrapesStayConsistentUnderConcurrentLoad) {
   });
 
   std::thread dump_scraper([&] {
-    Connection conn(server);
-    Client client(std::move(conn.end));
+    Client client(listener.connect());
     const auto drain = [&] {
       const std::vector<obs::TraceRecord> records =
           obs::flight_records_from_json(
@@ -236,30 +236,27 @@ TEST_F(IntrospectTest, ScrapesStayConsistentUnderConcurrentLoad) {
   });
 
   scrapers_ready.wait();
-  std::vector<std::unique_ptr<Connection>> connections;
   std::vector<std::thread> clients;
   for (int c = 0; c < kClients; ++c) {
-    connections.push_back(std::make_unique<Connection>(server));
-    clients.emplace_back(
-        [&, c, end = std::move(connections.back()->end)]() mutable {
-          Client client(std::move(end));
-          const char* models[] = {"alexnet", "vgg16", "nin"};
-          for (int r = 0; r < kRequests; ++r) {
-            const PlanRequest request =
-                request_for(models[(c + r) % 3], 4.0 + (c + r) % 3);
-            if (!client.plan(request).has_plan()) failures.fetch_add(1);
-            plans_done.fetch_add(1);
-          }
-          client.close();
-        });
+    clients.emplace_back([&, c] {
+      Client client(listener.connect());
+      const char* models[] = {"alexnet", "vgg16", "nin"};
+      for (int r = 0; r < kRequests; ++r) {
+        const PlanRequest request =
+            request_for(models[(c + r) % 3], 4.0 + (c + r) % 3);
+        if (!client.plan(request).has_plan()) failures.fetch_add(1);
+        plans_done.fetch_add(1);
+      }
+      client.close();
+    });
   }
 
   for (std::thread& t : clients) t.join();
   stop_scrapers.store(true, std::memory_order_release);
   stats_scraper.join();
   dump_scraper.join();
-  connections.clear();  // joins the server-side threads
-  server.stop();
+  listener.close();  // serve() drains and joins its connection threads
+  serving.join();
 
   EXPECT_EQ(failures.load(), 0);
   EXPECT_GT(scrapes.load(), 0);

@@ -1,10 +1,10 @@
 // Lock-order checker false-positive gate: the full 16-client serve stress
-// runs with the checker in its strictest mode (kAbort, hook-captured) and
-// must produce ZERO diagnostics — the server's real acquisition orders
-// (stop -> connections/inflight, connections -> pipe,
-// inflight -> breaker, plan-cache -> obs registry) are all consistent, and
-// the checker must agree under genuine concurrency, not just in the
-// synthetic ABBA test.
+// runs through Server::serve's connection threads with the checker in its
+// strictest mode (kAbort, hook-captured) and must produce ZERO diagnostics
+// — the server's real acquisition orders (stop -> connections/inflight,
+// connections -> pipe, inflight -> breaker, plan-cache -> obs registry)
+// are all consistent, and the checker must agree under genuine
+// concurrency, not just in the synthetic ABBA test.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -41,20 +41,14 @@ TEST(LockOrderStress, SixteenClientServeStressHasZeroFalsePositives) {
     options.max_inflight = 6;
     Server server(options);
 
-    std::vector<std::thread> server_threads;
-    std::vector<std::thread> client_threads;
+    InProcessListener listener;
+    std::thread serving([&] { server.serve(listener); });
+    std::vector<std::thread> clients;
     std::atomic<int> replies{0};
     for (int c = 0; c < kClients; ++c) {
-      StreamPair pair = make_in_process_pair();
-      server_threads.emplace_back(
-          [&server, s = std::shared_ptr<ByteStream>(std::move(pair.first))] {
-            server.handle_connection(*s);
-          });
-      client_threads.emplace_back([&, c,
-                                   end = std::shared_ptr<ByteStream>(
-                                       std::move(pair.second))]() {
+      clients.emplace_back([&, c] {
         try {
-          Client client(std::make_unique<BorrowedStream>(end));
+          Client client(listener.connect());
           for (int r = 0; r < kRequestsPerClient; ++r) {
             PlanRequest request;
             request.tenant = "tenant-" + std::to_string(c % 4);
@@ -70,9 +64,9 @@ TEST(LockOrderStress, SixteenClientServeStressHasZeroFalsePositives) {
         }
       });
     }
-    for (std::thread& t : client_threads) t.join();
-    for (std::thread& t : server_threads) t.join();
-    server.stop();  // drain path: stop -> connections -> pipe
+    for (std::thread& t : clients) t.join();
+    listener.close();  // drain path: serve -> stop -> connections -> pipe
+    serving.join();
     EXPECT_GT(replies.load(), 0);
   }
 

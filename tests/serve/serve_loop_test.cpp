@@ -11,10 +11,8 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <deque>
 #include <fstream>
 #include <future>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
@@ -22,12 +20,8 @@
 #include <thread>
 #include <vector>
 
-#include "core/planner.h"
-#include "models/registry.h"
-#include "net/channel.h"
+#include "direct_reply.h"
 #include "obs/obs.h"
-#include "partition/profile_curve.h"
-#include "profile/latency_model.h"
 #include "serve/client.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
@@ -58,39 +52,6 @@ PlanRequest request_for(const std::string& model, double mbps, int jobs) {
   request.strategy = core::Strategy::kJPS;
   request.n_jobs = jobs;
   return request;
-}
-
-// The reply a direct Planner run gives for `request`.
-PlanReply direct_reply(const ServerOptions& options,
-                       const PlanRequest& request) {
-  const double bucket = quantize_bandwidth(request.bandwidth_mbps,
-                                           options.bandwidth_bucket_mbps);
-  const profile::LatencyModel mobile(options.device);
-  const auto curve = partition::ProfileCurve::build(
-      models::build(request.model), mobile, net::Channel(bucket));
-  const core::ExecutionPlan plan =
-      core::Planner(curve).plan(request.strategy, request.n_jobs);
-  PlanReply reply;
-  reply.bandwidth_bucket_mbps = bucket;
-  reply.makespan_ms = plan.predicted_makespan;
-  std::map<std::uint32_t, std::uint32_t> mix;
-  for (const core::JobAssignment& job : plan.jobs)
-    ++mix[static_cast<std::uint32_t>(job.cut_index)];
-  for (const auto& [cut, count] : mix) reply.mix.push_back({cut, count});
-  return reply;
-}
-
-bool same_plan(const PlanReply& got, const PlanReply& want) {
-  if (!got.ok() || got.makespan_ms != want.makespan_ms ||
-      got.bandwidth_bucket_mbps != want.bandwidth_bucket_mbps ||
-      got.mix.size() != want.mix.size())
-    return false;
-  for (std::size_t i = 0; i < got.mix.size(); ++i) {
-    if (got.mix[i].cut != want.mix[i].cut ||
-        got.mix[i].count != want.mix[i].count)
-      return false;
-  }
-  return true;
 }
 
 TEST(ServeLoop, SequentialChurnReusesConnectionThreads) {
@@ -137,41 +98,6 @@ TEST(ServeLoop, SequentialChurnReusesConnectionThreads) {
   EXPECT_TRUE(server.stopped());
 }
 
-// A Listener over in-process connections the test hands it one by one.
-class QueueListener final : public Listener {
- public:
-  void push(std::unique_ptr<ByteStream> stream) {
-    {
-      std::lock_guard lock(mutex_);
-      queue_.push_back(std::move(stream));
-    }
-    ready_.notify_all();
-  }
-
-  std::unique_ptr<ByteStream> accept() override {
-    std::unique_lock lock(mutex_);
-    ready_.wait(lock, [&] { return !queue_.empty() || closed_; });
-    if (queue_.empty()) return nullptr;
-    std::unique_ptr<ByteStream> stream = std::move(queue_.front());
-    queue_.pop_front();
-    return stream;
-  }
-
-  void close() override {
-    {
-      std::lock_guard lock(mutex_);
-      closed_ = true;
-    }
-    ready_.notify_all();
-  }
-
- private:
-  std::mutex mutex_;
-  std::condition_variable ready_;
-  std::deque<std::unique_ptr<ByteStream>> queue_;
-  bool closed_ = false;
-};
-
 // The server end of an in-process connection, standing in for a socket
 // whose thread the kernel has not run since its peer closed: finished()
 // already says so, but read() holds the EOF until `release` is ready.
@@ -213,7 +139,7 @@ class HeldEofStream final : public ByteStream {
 // before its EOF.  Returns the threads the second connection started.
 int threads_started_by_second_connection(bool first_peer_closed) {
   Server server{ServerOptions{}};
-  QueueListener listener;
+  InProcessListener listener;
   std::thread serving([&] { server.serve(listener); });
   std::promise<void> release;
   std::promise<void> first_eof;
@@ -228,9 +154,7 @@ int threads_started_by_second_connection(bool first_peer_closed) {
   }
 
   const int threads_before = live_threads();
-  StreamPair second = make_in_process_pair();
-  listener.push(std::move(second.second));
-  Client second_client(std::move(second.first));
+  Client second_client(listener.connect());
   EXPECT_TRUE(second_client.ping());  // any spawn happened before the reply
   const int started = live_threads() - threads_before;
 
@@ -360,7 +284,7 @@ bool third_served_beside_a_blocked_writer(FirstThread at) {
   ServerOptions options;
   options.debug_plan_delay_ms = 200.0;  // keeps kComputing's thread there
   Server server(options);
-  QueueListener listener;
+  InProcessListener listener;
   std::thread serving([&] { server.serve(listener); });
   const std::string request =
       at == FirstThread::kComputing
@@ -369,12 +293,15 @@ bool third_served_beside_a_blocked_writer(FirstThread at) {
                                     : encode_ping();
   std::promise<void> hold;
   if (at != FirstThread::kReading) hold.set_value();
-  auto first = std::make_shared<StalledPeerStream>(frame_bytes(request),
-                                                   hold.get_future().share());
+  auto stalled = std::make_unique<StalledPeerStream>(
+      frame_bytes(request), hold.get_future().share());
+  // Its thread blocks in write() until the close() below, so the stream
+  // outlives every use of `first`.
+  StalledPeerStream* const first = stalled.get();
   std::future<void> reading = first->reading.get_future();
   std::future<void> drained = first->drained.get_future();
   std::future<void> writing = first->writing.get_future();
-  listener.push(std::make_unique<BorrowedStream>(first));
+  listener.push(std::move(stalled));
   switch (at) {
     case FirstThread::kComputing: drained.wait(); break;
     case FirstThread::kWriting: writing.wait(); break;
@@ -389,11 +316,9 @@ bool third_served_beside_a_blocked_writer(FirstThread at) {
   if (at == FirstThread::kReading) hold.set_value();
   writing.wait();
 
-  StreamPair third = make_in_process_pair();
-  listener.push(std::move(third.second));
   ClientRetryOptions client_options;
   client_options.read_timeout_ms = 5000.0;
-  Client client(std::move(third.first), client_options);
+  Client client(listener.connect(), client_options);
   const bool served = client.ping();
 
   first->close();

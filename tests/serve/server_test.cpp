@@ -9,19 +9,14 @@
 #include <chrono>
 #include <cmath>
 #include <limits>
-#include <map>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "core/planner.h"
-#include "models/registry.h"
-#include "net/channel.h"
+#include "direct_reply.h"
 #include "obs/flight_recorder.h"
 #include "obs/obs.h"
-#include "partition/profile_curve.h"
-#include "profile/latency_model.h"
 #include "serve/client.h"
 
 namespace jps::serve {
@@ -36,28 +31,6 @@ PlanRequest request_for(const std::string& model, double mbps, int jobs,
   request.strategy = strategy;
   request.n_jobs = jobs;
   return request;
-}
-
-// The reply the server must reproduce, computed directly.
-core::ExecutionPlan direct_plan(const ServerOptions& options,
-                                const PlanRequest& request) {
-  const double bucket = quantize_bandwidth(request.bandwidth_mbps,
-                                           options.bandwidth_bucket_mbps);
-  const dnn::Graph graph = models::build(request.model);
-  const profile::LatencyModel mobile(options.device);
-  const auto curve =
-      partition::ProfileCurve::build(graph, mobile, net::Channel(bucket));
-  return core::Planner(curve).plan(request.strategy, request.n_jobs);
-}
-
-// A plan's (cut -> count) mix in the reply's ascending order.
-std::vector<CutMix> mix_of(const core::ExecutionPlan& plan) {
-  std::map<std::uint32_t, std::uint32_t> counts;
-  for (const core::JobAssignment& job : plan.jobs)
-    ++counts[static_cast<std::uint32_t>(job.cut_index)];
-  std::vector<CutMix> mix;
-  for (const auto& [cut, count] : counts) mix.push_back({cut, count});
-  return mix;
 }
 
 TEST(Quantize, SnapsToNearestBucketAndNeverZero) {
@@ -76,8 +49,8 @@ TEST(Server, ReplyIsBitIdenticalToDirectPlanner) {
   const PlanReply reply = server.handle_plan(request);
   ASSERT_TRUE(reply.ok()) << reply.message;
 
-  const core::ExecutionPlan expected = direct_plan(options, request);
-  EXPECT_EQ(reply.makespan_ms, expected.predicted_makespan);  // exact, not near
+  EXPECT_EQ(reply.makespan_ms,
+            direct_reply(options, request).makespan_ms);  // exact, not near
   EXPECT_DOUBLE_EQ(reply.bandwidth_bucket_mbps, 9.75);  // round(9.87/0.25)*0.25
 
   int total = 0;
@@ -101,12 +74,12 @@ TEST(Server, ExtremeBandwidthRepliesMatchAFreshCurvePerBucket) {
         const PlanRequest request = request_for(model, mbps, 7, strategy);
         const PlanReply reply = server.handle_plan(request);
         ASSERT_TRUE(reply.ok()) << reply.message;
-        const core::ExecutionPlan expected = direct_plan(options, request);
+        const PlanReply expected = direct_reply(options, request);
         SCOPED_TRACE(::testing::Message() << model << " at " << mbps
                                           << " Mbps, "
                                           << core::strategy_name(strategy));
-        EXPECT_EQ(reply.makespan_ms, expected.predicted_makespan);
-        EXPECT_EQ(reply.mix, mix_of(expected));
+        EXPECT_EQ(reply.makespan_ms, expected.makespan_ms);
+        EXPECT_EQ(reply.mix, expected.mix);
         ++checked;
       }
     }
@@ -358,9 +331,9 @@ TEST(Server, CachedKeyIsAnsweredInlineWithoutAPoolTask) {
   EXPECT_TRUE(hit.cache_hit);
   EXPECT_FALSE(hit.coalesced);
 
-  const core::ExecutionPlan expected = direct_plan(options, request);
-  EXPECT_EQ(hit.makespan_ms, expected.predicted_makespan);  // exact
-  EXPECT_EQ(hit.mix, mix_of(expected));
+  const PlanReply expected = direct_reply(options, request);
+  EXPECT_EQ(hit.makespan_ms, expected.makespan_ms);  // exact
+  EXPECT_EQ(hit.mix, expected.mix);
   EXPECT_DOUBLE_EQ(hit.bandwidth_bucket_mbps, 7.25);
 
   const ServerStats stats = server.stats();

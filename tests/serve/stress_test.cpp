@@ -1,6 +1,6 @@
 // The acceptance stress: 16 concurrent clients, mixed tenants, repeated
 // (model, bandwidth-bucket) pairs, full wire protocol over in-process
-// streams.  Demonstrates (under TSan in CI):
+// streams served by Server::serve.  Demonstrates (under TSan in CI):
 //   * coalescing engages (coalesce-hit counter > 0) and the cache answers
 //     repeats (cache-hit counter > 0),
 //   * every OK reply is bit-identical to a direct Planner::plan run,
@@ -9,17 +9,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <map>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "core/planner.h"
-#include "models/registry.h"
-#include "net/channel.h"
-#include "partition/profile_curve.h"
-#include "profile/latency_model.h"
+#include "direct_reply.h"
 #include "serve/client.h"
 #include "serve/server.h"
 #include "serve/transport.h"
@@ -29,11 +24,6 @@ namespace {
 
 constexpr int kClients = 16;
 constexpr int kRequestsPerClient = 24;
-
-struct Expected {
-  double makespan = 0.0;
-  std::map<std::uint32_t, std::uint32_t> mix;
-};
 
 TEST(ServeStress, SixteenConcurrentClientsMixedTenants) {
   ServerOptions options;
@@ -62,41 +52,22 @@ TEST(ServeStress, SixteenConcurrentClientsMixedTenants) {
   }
 
   // Ground truth, computed directly before any serving starts.
-  const profile::LatencyModel mobile(options.device);
-  std::vector<Expected> expected;
-  for (const PlanRequest& request : mix) {
-    const double bucket = quantize_bandwidth(request.bandwidth_mbps,
-                                             options.bandwidth_bucket_mbps);
-    const dnn::Graph graph = models::build(request.model);
-    const auto curve =
-        partition::ProfileCurve::build(graph, mobile, net::Channel(bucket));
-    const core::ExecutionPlan plan =
-        core::Planner(curve).plan(request.strategy, request.n_jobs);
-    Expected e;
-    e.makespan = plan.predicted_makespan;
-    for (const core::JobAssignment& job : plan.jobs)
-      ++e.mix[static_cast<std::uint32_t>(job.cut_index)];
-    expected.push_back(std::move(e));
-  }
+  std::vector<PlanReply> expected;
+  for (const PlanRequest& request : mix)
+    expected.push_back(direct_reply(options, request));
 
   std::atomic<int> ok_replies{0};
   std::atomic<int> shed_replies{0};
   std::atomic<int> mismatches{0};
   std::atomic<int> client_errors{0};
 
-  std::vector<std::thread> server_threads;
-  std::vector<std::thread> client_threads;
+  InProcessListener listener;
+  std::thread serving([&] { server.serve(listener); });
+  std::vector<std::thread> clients;
   for (int c = 0; c < kClients; ++c) {
-    StreamPair pair = make_in_process_pair();
-    server_threads.emplace_back(
-        [&server, s = std::shared_ptr<ByteStream>(std::move(pair.first))] {
-          server.handle_connection(*s);
-        });
-    client_threads.emplace_back([&, c,
-                                 end = std::shared_ptr<ByteStream>(
-                                     std::move(pair.second))]() mutable {
+    clients.emplace_back([&, c] {
       try {
-        Client client(std::make_unique<BorrowedStream>(end));
+        Client client(listener.connect());
         for (int r = 0; r < kRequestsPerClient; ++r) {
           const std::size_t k = static_cast<std::size_t>(c + r) % mix.size();
           PlanRequest request = mix[k];
@@ -106,21 +77,9 @@ TEST(ServeStress, SixteenConcurrentClientsMixedTenants) {
             shed_replies.fetch_add(1);
             continue;  // shed is an acceptable answer under load
           }
-          if (!reply.ok()) {
-            mismatches.fetch_add(1);
-            continue;
-          }
-          ok_replies.fetch_add(1);
-          // Bit-identity: makespan AND mix must equal the direct run.
-          const Expected& want = expected[k];
-          bool same = reply.makespan_ms == want.makespan &&
-                      reply.mix.size() == want.mix.size();
-          if (same) {
-            for (const CutMix& m : reply.mix)
-              same = same && want.mix.count(m.cut) != 0 &&
-                     want.mix.at(m.cut) == m.count;
-          }
-          if (!same) mismatches.fetch_add(1);
+          if (reply.ok()) ok_replies.fetch_add(1);
+          // Bit-identity: makespan, bucket AND mix must equal the direct run.
+          if (!same_plan(reply, expected[k])) mismatches.fetch_add(1);
         }
         client.close();
       } catch (const std::exception&) {
@@ -129,9 +88,9 @@ TEST(ServeStress, SixteenConcurrentClientsMixedTenants) {
     });
   }
 
-  for (std::thread& t : client_threads) t.join();
-  for (std::thread& t : server_threads) t.join();
-  server.stop();
+  for (std::thread& t : clients) t.join();
+  listener.close();  // serve() drains and joins its connection threads
+  serving.join();
 
   const ServerStats stats = server.stats();
   EXPECT_EQ(client_errors.load(), 0);
@@ -158,18 +117,12 @@ TEST(ServeStress, DrainUnderLoadNeverDeadlocks) {
   options.debug_plan_delay_ms = 5.0;
   Server server(options);
 
-  std::vector<std::thread> server_threads;
-  std::vector<std::thread> client_threads;
+  InProcessListener listener;
+  std::thread serving([&] { server.serve(listener); });
+  std::vector<std::thread> clients;
   std::atomic<int> replies{0};
   for (int c = 0; c < 8; ++c) {
-    StreamPair pair = make_in_process_pair();
-    server_threads.emplace_back(
-        [&server, s = std::shared_ptr<ByteStream>(std::move(pair.first))] {
-          server.handle_connection(*s);
-        });
-    client_threads.emplace_back([&, c,
-                                 end = std::shared_ptr<ByteStream>(
-                                     std::move(pair.second))]() {
+    clients.emplace_back([&, c, end = listener.connect()] {
       try {
         for (int r = 0; r < 50; ++r) {
           PlanRequest request;
@@ -190,10 +143,11 @@ TEST(ServeStress, DrainUnderLoadNeverDeadlocks) {
 
   // Let some traffic flow, then drain while clients are still sending.
   while (replies.load() < 20) std::this_thread::yield();
-  server.stop();  // must not deadlock (ThreadPool shutdown contract)
+  server.stop();  // must not deadlock while serve() runs its connections
 
-  for (std::thread& t : client_threads) t.join();
-  for (std::thread& t : server_threads) t.join();
+  for (std::thread& t : clients) t.join();
+  listener.close();
+  serving.join();
   EXPECT_TRUE(server.stopped());
   EXPECT_EQ(server.inflight(), 0u);
 }

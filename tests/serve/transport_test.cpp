@@ -1,14 +1,17 @@
 // Byte transports: in-process pipe semantics (backpressure, half-close,
-// EOF) and the loopback socket listener and stream (read buffer, deadline,
-// finished()).
+// EOF), the in-process listener (FIFO accept, close), and the loopback
+// socket listener and stream (read buffer, deadline, finished()).
 #include "serve/transport.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
+#include <vector>
 
 namespace jps::serve {
 namespace {
@@ -79,6 +82,50 @@ TEST(InProcessPair, WriteToClosedPeerThrows) {
   StreamPair pair = make_in_process_pair(/*capacity=*/4);
   pair.second->close();
   EXPECT_THROW(pair.first->write("0123456789", 10), std::runtime_error);
+}
+
+TEST(InProcessListener, AcceptsConnectionsInFifoOrder) {
+  InProcessListener listener;
+  std::vector<std::unique_ptr<ByteStream>> clients;
+  for (const char tag : {'a', 'b', 'c'}) {
+    clients.push_back(listener.connect());
+    clients.back()->write(&tag, 1);
+  }
+  for (const char tag : {'a', 'b', 'c'}) {
+    const std::unique_ptr<ByteStream> server = listener.accept();
+    ASSERT_NE(server, nullptr);
+    char got = 0;
+    ASSERT_EQ(server->read(&got, 1), 1u);  // the peer of connect()'s end
+    EXPECT_EQ(got, tag);
+  }
+}
+
+TEST(InProcessListener, CloseUnblocksABlockedAcceptWithNullptr) {
+  InProcessListener listener;
+  std::thread closer([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    listener.close();
+  });
+  EXPECT_EQ(listener.accept(), nullptr);
+  closer.join();
+}
+
+TEST(InProcessListener, AConnectionQueuedAtCloseReadsEof) {
+  InProcessListener listener;
+  const std::unique_ptr<ByteStream> client = listener.connect();
+  client->set_read_timeout_ms(1000.0);  // a hang fails as TransportTimeout
+  listener.close();
+  char b;
+  EXPECT_EQ(client->read(&b, 1), 0u);
+  EXPECT_EQ(listener.accept(), nullptr);
+}
+
+TEST(InProcessListener, ConnectAndPushAfterCloseThrow) {
+  InProcessListener listener;
+  listener.close();
+  EXPECT_THROW((void)listener.connect(), std::runtime_error);
+  EXPECT_THROW(listener.push(make_in_process_pair().first),
+               std::runtime_error);
 }
 
 TEST(SocketTransport, EphemeralPortEchoAndShutdown) {

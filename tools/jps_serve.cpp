@@ -28,8 +28,9 @@
 //       converts the drained spans to Chrome trace-event format.
 //
 //   jps_serve selfcheck [--clients N] [--requests N] [--chaos]
-//       In-process end-to-end check (no sockets): start a server, drive it
-//       with concurrent clients over pipe transports, verify every reply
+//       In-process end-to-end check (no sockets): serve an in-process
+//       listener with Server::serve, drive it with concurrent clients over
+//       pipe transports, verify every reply
 //       against a direct Planner run.  CI's smoke test.  With --chaos the
 //       same check runs under scripted transport faults (delays, 1-byte
 //       reads, mid-frame disconnects, corrupted bytes) — every SUCCESSFUL
@@ -466,70 +467,73 @@ bool verify_reply(const Case& expect, const serve::PlanReply& reply,
   return false;
 }
 
+// Runs `client_loop(c)` for each c in [0, clients) on its own thread and
+// returns the failures the loops count; a client that throws counts one.
+template <typename ClientLoop>
+int run_clients(int clients, const char* where, const ClientLoop& client_loop) {
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (int c = 0; c < clients; ++c) {
+    threads.emplace_back([&, c] {
+      try {
+        failures.fetch_add(client_loop(c));
+      } catch (const std::exception& e) {
+        std::fprintf(stderr, "selfcheck[%s]: client error: %s\n", where,
+                     e.what());
+        failures.fetch_add(1);
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  return failures.load();
+}
+
+// `requests` plan requests on `client`, cycling through the cases from
+// client `c`'s offset; returns the replies that do not verify.
+int verify_requests(serve::Client& client, const std::vector<Case>& cases,
+                    int c, int requests, const char* where) {
+  int failures = 0;
+  for (int r = 0; r < requests; ++r) {
+    const Case& expect = cases[static_cast<std::size_t>(c + r) % cases.size()];
+    if (!verify_reply(expect, client.plan(expect.request), where)) ++failures;
+  }
+  return failures;
+}
+
 // Chaos group A: every client's transport suffers scripted delays and
 // 1-byte reads/writes.  Nothing is lost, so EVERY reply must verify.
-int chaos_delay_short(serve::Server& server, const std::vector<Case>& cases,
-                      int clients, int requests) {
+int chaos_delay_short(serve::InProcessListener& listener,
+                      const std::vector<Case>& cases, int clients,
+                      int requests) {
   const fault::FaultSpec spec = fault::FaultSpec::parse(
       "jps-faults v1\n"
       "net_delay 0 32 0.2\n"
       "net_short 16 256\n"
       "net_delay 400 432 0.2\n"
       "net_short 512 4096\n");
-
-  std::atomic<int> failures{0};
-  std::vector<std::thread> server_threads;
-  std::vector<std::thread> client_threads;
-  for (int c = 0; c < clients; ++c) {
-    serve::StreamPair pair = serve::make_in_process_pair();
-    server_threads.emplace_back(
-        [&server, s = std::shared_ptr<serve::ByteStream>(
-                      std::move(pair.first))] { server.handle_connection(*s); });
-    client_threads.emplace_back(
-        [&cases, &failures, &spec, requests, c,
-         stream = std::shared_ptr<serve::ByteStream>(std::move(pair.second))] {
-          try {
-            serve::Client client(std::make_unique<serve::FaultyByteStream>(
-                std::make_unique<serve::BorrowedStream>(stream), spec));
-            for (int r = 0; r < requests; ++r) {
-              const Case& expect =
-                  cases[static_cast<std::size_t>(c + r) % cases.size()];
-              if (!verify_reply(expect, client.plan(expect.request), "chaos-a"))
-                failures.fetch_add(1);
-            }
-            client.close();
-          } catch (const std::exception& e) {
-            std::fprintf(stderr, "selfcheck[chaos-a]: client error: %s\n",
-                         e.what());
-            failures.fetch_add(1);
-          }
-        });
-  }
-  for (std::thread& t : client_threads) t.join();
-  for (std::thread& t : server_threads) t.join();
-  return failures.load();
+  return run_clients(clients, "chaos-a", [&](int c) {
+    serve::Client client(
+        std::make_unique<serve::FaultyByteStream>(listener.connect(), spec));
+    return verify_requests(client, cases, c, requests, "chaos-a");
+  });
 }
 
 // Chaos group B: the connection dies mid-frame at a scripted byte offset —
 // once while SENDING a request (the server sees a truncated frame), once a
 // whole frame later (the second request dies instead).  The client's
 // retry-with-reconnect must land every request, bit-identically.
-int chaos_drop_retry(serve::Server& server, const std::vector<Case>& cases) {
+int chaos_drop_retry(serve::InProcessListener& listener,
+                     const std::vector<Case>& cases) {
   int failures = 0;
-  std::vector<std::thread> server_threads;
 
   for (const std::uint64_t drop_at : {std::uint64_t{6}, std::uint64_t{48}}) {
     const fault::FaultSpec spec = fault::FaultSpec::parse(
         "jps-faults v1\n"
         "net_drop " + std::to_string(drop_at) + " 1000000000\n");
     int connection = 0;
-    auto factory = [&server, &server_threads, &spec,
+    auto factory = [&listener, &spec,
                     &connection]() -> std::unique_ptr<serve::ByteStream> {
-      serve::StreamPair pair = serve::make_in_process_pair();
-      server_threads.emplace_back(
-          [&server, s = std::shared_ptr<serve::ByteStream>(std::move(
-                        pair.first))] { server.handle_connection(*s); });
-      std::unique_ptr<serve::ByteStream> end = std::move(pair.second);
+      std::unique_ptr<serve::ByteStream> end = listener.connect();
       // Only the FIRST connection is faulty; reconnects get clean pipes
       // (the scripted outage has "ended").
       if (connection++ == 0)
@@ -560,14 +564,15 @@ int chaos_drop_retry(serve::Server& server, const std::vector<Case>& cases) {
       ++failures;
     }
   }
-  for (std::thread& t : server_threads) t.join();
   return failures;
 }
 
 // Chaos group C: the SERVER's first received frame has one payload byte
 // corrupted (the magic, at read offset 4 — after the length prefix, so the
 // frame boundary holds).  The server must answer INVALID_ARGUMENT and keep
-// the connection; every later frame is clean and must verify.
+// the connection; every later frame is clean and must verify.  The fault
+// wraps the server's end, so this one connection runs handle_connection on
+// its own thread rather than through the listener.
 int chaos_corrupt(serve::Server& server, const std::vector<Case>& cases) {
   const fault::FaultSpec spec = fault::FaultSpec::parse(
       "jps-faults v1\n"
@@ -575,13 +580,8 @@ int chaos_corrupt(serve::Server& server, const std::vector<Case>& cases) {
 
   int failures = 0;
   serve::StreamPair pair = serve::make_in_process_pair();
-  std::thread server_thread(
-      [&server, &spec,
-       s = std::shared_ptr<serve::ByteStream>(std::move(pair.first))] {
-        serve::FaultyByteStream faulty(
-            std::make_unique<serve::BorrowedStream>(s), spec);
-        server.handle_connection(faulty);
-      });
+  serve::FaultyByteStream faulty(std::move(pair.first), spec);
+  std::thread server_thread([&] { server.handle_connection(faulty); });
   try {
     serve::Client client(std::move(pair.second));
     const serve::PlanReply poisoned = client.plan(cases[0].request);
@@ -609,15 +609,11 @@ int chaos_corrupt(serve::Server& server, const std::vector<Case>& cases) {
 // monotonically increasing request counters, and (2) a TRACE_DUMP drain must
 // yield structurally valid span trees whose root span accounts for >= 95% of
 // each trace's measured wall time.
-int selfcheck_introspect(serve::Server& server, const std::vector<Case>& cases) {
+int selfcheck_introspect(serve::InProcessListener& listener,
+                         const std::vector<Case>& cases) {
   int failures = 0;
-  serve::StreamPair pair = serve::make_in_process_pair();
-  std::thread server_thread(
-      [&server, s = std::shared_ptr<serve::ByteStream>(std::move(pair.first))] {
-        server.handle_connection(*s);
-      });
   try {
-    serve::Client client(std::move(pair.second));
+    serve::Client client(listener.connect());
 
     const auto counter_value = [](const util::Json& json, const char* name) {
       const util::Json* counters = json.get("counters");
@@ -691,7 +687,6 @@ int selfcheck_introspect(serve::Server& server, const std::vector<Case>& cases) 
     std::fprintf(stderr, "selfcheck[introspect]: %s\n", e.what());
     ++failures;
   }
-  server_thread.join();
   return failures;
 }
 
@@ -713,49 +708,30 @@ int cmd_selfcheck(const tools::Args& args) {
 
   const std::vector<Case> cases = build_cases(options, "selfcheck");
 
-  std::atomic<int> failures{0};
-  std::vector<std::thread> server_threads;
-  std::vector<std::thread> client_threads;
-  for (int c = 0; c < clients; ++c) {
-    serve::StreamPair pair = serve::make_in_process_pair();
-    server_threads.emplace_back(
-        [&server, s = std::shared_ptr<serve::ByteStream>(
-                      std::move(pair.first))] { server.handle_connection(*s); });
-    client_threads.emplace_back(
-        [&cases, &failures, requests, c,
-         stream = std::shared_ptr<serve::ByteStream>(std::move(pair.second))]() {
-          try {
-            serve::Client client(std::make_unique<serve::BorrowedStream>(stream));
-            if (!client.ping()) throw std::runtime_error("ping failed");
-            for (int r = 0; r < requests; ++r) {
-              const Case& expect =
-                  cases[static_cast<std::size_t>(c + r) % cases.size()];
-              if (!verify_reply(expect, client.plan(expect.request), "base"))
-                failures.fetch_add(1);
-            }
-            client.close();
-          } catch (const std::exception& e) {
-            std::fprintf(stderr, "selfcheck: client error: %s\n", e.what());
-            failures.fetch_add(1);
-          }
-        });
-  }
-  for (std::thread& t : client_threads) t.join();
-  for (std::thread& t : server_threads) t.join();
+  // Every leg but chaos-c connects through one listener, served the way
+  // the daemon serves its socket.
+  serve::InProcessListener listener;
+  std::thread serving([&] { server.serve(listener); });
+  int failures = run_clients(clients, "base", [&](int c) {
+    serve::Client client(listener.connect());
+    if (!client.ping()) throw std::runtime_error("ping failed");
+    return verify_requests(client, cases, c, requests, "base");
+  });
 
-  failures.fetch_add(selfcheck_introspect(server, cases));
+  failures += selfcheck_introspect(listener, cases);
 
   if (chaos) {
-    failures.fetch_add(chaos_delay_short(server, cases, clients, requests));
-    failures.fetch_add(chaos_drop_retry(server, cases));
-    failures.fetch_add(chaos_corrupt(server, cases));
+    failures += chaos_delay_short(listener, cases, clients, requests);
+    failures += chaos_drop_retry(listener, cases);
+    failures += chaos_corrupt(server, cases);
     if (server.inflight() != 0) {
       std::fprintf(stderr, "selfcheck: %zu computations leaked in flight\n",
                    server.inflight());
-      failures.fetch_add(1);
+      ++failures;
     }
   }
-  server.stop();
+  listener.close();  // serve() drains the server and joins its threads
+  serving.join();
 
   const serve::ServerStats stats = server.stats();
   std::cout << "selfcheck: clients=" << clients << " requests="
@@ -764,8 +740,8 @@ int cmd_selfcheck(const tools::Args& args) {
             << " cache_hits=" << stats.cache_hits
             << " protocol_errors=" << stats.protocol_errors
             << " chaos=" << (chaos ? "on" : "off")
-            << " failures=" << failures.load() << std::endl;
-  return failures.load() == 0 ? 0 : 1;
+            << " failures=" << failures << std::endl;
+  return failures == 0 ? 0 : 1;
 }
 
 }  // namespace
