@@ -97,11 +97,7 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
 
   try {
     const PlanReply reply = decode_plan_reply(payload);
-    const PlanReply again = decode_plan_reply(encode_plan_reply(reply));
-    // A kOkStale status sets the stale flag bit on encode, so one round
-    // may add the bit; after that encode∘decode must be a fixed point.
-    const PlanReply thrice = decode_plan_reply(encode_plan_reply(again));
-    abort_if(!(thrice == again));
+    abort_if(!(decode_plan_reply(encode_plan_reply(reply)) == reply));
   } catch (const ProtocolError&) {
   }
 

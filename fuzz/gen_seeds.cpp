@@ -61,14 +61,14 @@ void protocol_seeds(const fs::path& dir) {
   put(dir / "plan_request_v2_refused.bin", v2);
 
   PlanReply reply;
-  reply.status = Status::kOkStale;
-  reply.message = "degraded";
-  reply.stale = true;
   reply.cache_hit = true;
   reply.bandwidth_bucket_mbps = 6.0;
   reply.makespan_ms = 1280.5;
   reply.mix = {{6, 12}, {7, 8}};
-  put(dir / "plan_reply_stale.bin", encode_plan_reply(reply));
+  // Status 7 (the retired OK_STALE) must decode to a ProtocolError.
+  std::string status7 = encode_plan_reply(reply);
+  status7[3] = 7;
+  put(dir / "plan_reply_status7_refused.bin", status7);
   put(dir / "ping.bin", encode_ping());
   put(dir / "ping_reply.bin", encode_ping_reply());
   put(dir / "stats_request.bin", encode_stats_request());

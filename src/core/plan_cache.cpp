@@ -151,7 +151,7 @@ std::shared_ptr<const partition::ProfileCurve> BasicPlanCache<PlanT>::curve(
 
 template <class PlanT>
 std::shared_ptr<const PlanT> BasicPlanCache<PlanT>::find_plan(
-    const PlanCacheKey& key) {
+    const PlanCacheKey& key) const {
   Shard& shard = *shards_[shard_of(key)];
   obs::ScopedTimer probe(lookup_histogram());
   util::SharedLock lock(shard.mutex);
@@ -183,30 +183,6 @@ std::shared_ptr<const PlanT> BasicPlanCache<PlanT>::plan(
   requires(!std::same_as<PlanT, ExecutionPlan>)
 {
   return plan(key, ValueBuilder([&build] { return PlanT::of(build()); }));
-}
-
-template <class PlanT>
-std::shared_ptr<const PlanT> BasicPlanCache<PlanT>::nearest_plan(
-    const PlanCacheKey& want, double* bandwidth_out) const {
-  std::shared_ptr<const PlanT> best;
-  double best_bw = 0.0;
-  for (const auto& shard : shards_) {
-    util::SharedLock lock(shard->mutex);
-    for (const auto& [key, plan] : shard->plans) {
-      if (key.model != want.model || key.device != want.device ||
-          key.strategy != want.strategy || key.n_jobs != want.n_jobs)
-        continue;
-      const double diff = std::abs(key.bandwidth_mbps - want.bandwidth_mbps);
-      const double best_diff = std::abs(best_bw - want.bandwidth_mbps);
-      if (!best || diff < best_diff ||
-          (diff == best_diff && key.bandwidth_mbps < best_bw)) {
-        best = plan;
-        best_bw = key.bandwidth_mbps;
-      }
-    }
-  }
-  if (best && bandwidth_out != nullptr) *bandwidth_out = best_bw;
-  return best;
 }
 
 template <class PlanT>

@@ -149,15 +149,7 @@ class BasicPlanCache {
   /// hit on success and nothing on a miss, so a caller that falls back to
   /// plan() after a nullptr still has that lookup counted exactly once.
   [[nodiscard]] std::shared_ptr<const PlanT> find_plan(
-      const PlanCacheKey& key);
-
-  /// The cached plan whose key matches `want` on every field except
-  /// bandwidth, minimizing |bandwidth - want.bandwidth_mbps| (ties to the
-  /// lower bandwidth, so the answer is deterministic).  Degraded-mode
-  /// lookup for an open circuit breaker: "a plan for roughly this uplink
-  /// beats no plan at all".  nullptr when no candidate exists.
-  [[nodiscard]] std::shared_ptr<const PlanT> nearest_plan(
-      const PlanCacheKey& want, double* bandwidth_out = nullptr) const;
+      const PlanCacheKey& key) const;
 
   /// Counters summed over every shard (monotone since construction or
   /// reset_stats()).

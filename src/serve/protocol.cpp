@@ -10,7 +10,6 @@ namespace {
 
 constexpr std::uint8_t kFlagCoalesced = 1u << 0;
 constexpr std::uint8_t kFlagCacheHit = 1u << 1;
-constexpr std::uint8_t kFlagStale = 1u << 2;
 
 using namespace wire;
 
@@ -44,6 +43,13 @@ Op check_header(Reader& reader) {
   throw ProtocolError("serve: unknown op " + std::to_string(op));
 }
 
+Status read_status(Reader& reader) {
+  const std::uint8_t status = reader.u8();
+  if (status > static_cast<std::uint8_t>(Status::kDeadlineExceeded))
+    throw ProtocolError("serve: unknown status code " + std::to_string(status));
+  return static_cast<Status>(status);
+}
+
 // Read exactly `size` bytes or fail.  `any` reports whether anything had
 // been read before EOF — the caller distinguishes clean EOF (nothing) from
 // a frame truncated mid-way.
@@ -72,7 +78,6 @@ const char* status_name(Status status) {
     case Status::kUnavailable: return "UNAVAILABLE";
     case Status::kInternal: return "INTERNAL";
     case Status::kDeadlineExceeded: return "DEADLINE_EXCEEDED";
-    case Status::kOkStale: return "OK_STALE";
   }
   return "UNKNOWN";
 }
@@ -102,7 +107,6 @@ std::string encode_plan_reply(const PlanReply& reply) {
   std::uint8_t flags = 0;
   if (reply.coalesced) flags |= kFlagCoalesced;
   if (reply.cache_hit) flags |= kFlagCacheHit;
-  if (reply.stale || reply.status == Status::kOkStale) flags |= kFlagStale;
   put_u8(out, flags);
   put_str16(out, reply.message);
   put_f64(out, reply.bandwidth_bucket_mbps);
@@ -177,14 +181,10 @@ PlanReply decode_plan_reply(std::string_view payload) {
   if (check_header(reader) != Op::kPlanReply)
     throw ProtocolError("serve: payload is not a plan reply");
   PlanReply reply;
-  const std::uint8_t status = reader.u8();
-  if (status > static_cast<std::uint8_t>(Status::kOkStale))
-    throw ProtocolError("serve: unknown status code " + std::to_string(status));
-  reply.status = static_cast<Status>(status);
+  reply.status = read_status(reader);
   const std::uint8_t flags = reader.u8();
   reply.coalesced = (flags & kFlagCoalesced) != 0;
   reply.cache_hit = (flags & kFlagCacheHit) != 0;
-  reply.stale = (flags & kFlagStale) != 0;
   reply.message = reader.str16();
   reply.bandwidth_bucket_mbps = reader.f64();
   reply.makespan_ms = reader.f64();
@@ -202,17 +202,6 @@ PlanReply decode_plan_reply(std::string_view payload) {
   reader.expect_done();
   return reply;
 }
-
-namespace {
-
-Status read_status(Reader& reader) {
-  const std::uint8_t status = reader.u8();
-  if (status > static_cast<std::uint8_t>(Status::kOkStale))
-    throw ProtocolError("serve: unknown status code " + std::to_string(status));
-  return static_cast<Status>(status);
-}
-
-}  // namespace
 
 void decode_stats_request(std::string_view payload) {
   Reader reader(payload);

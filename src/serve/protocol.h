@@ -31,10 +31,9 @@
 //   str32 := u32 length | bytes (no terminator; bounded by kMaxFrameBytes)
 //   flags: bit 0 = coalesced (this reply shared another request's
 //          computation), bit 1 = cache_hit (the plan came out of the
-//          PlanCache rather than a fresh Planner run), bit 2 = stale (a
-//          degraded-mode reply: the plan came from a nearby bandwidth
-//          bucket while the tenant's breaker is open).  Decoders ignore
-//          unknown flag bits, so a new bit needs no new version.
+//          PlanCache rather than a fresh Planner run); bit 2 is retired
+//          and never set.  Decoders ignore unknown flag bits, so a new bit
+//          needs no new version.
 //
 // Versioning: the protocol has one version, kVersion (3).  Every client is
 // built from this tree and always speaks it, so a frame carrying any other
@@ -91,13 +90,9 @@ enum class Status : std::uint8_t {
   kInvalidArgument = 1,   // malformed request (NaN bandwidth, n_jobs < 1, ...)
   kNotFound = 2,          // unknown model id
   kResourceExhausted = 3, // shed: tenant over rate limit or queue bound hit
-  kUnavailable = 4,       // server draining/stopped, or breaker open with
-                          // no stale plan to degrade to
+  kUnavailable = 4,       // server draining/stopped
   kInternal = 5,          // planning threw (bug; message carries the what())
   kDeadlineExceeded = 6,  // the request's deadline passed server-side
-  kOkStale = 7,           // degraded mode — a usable plan from a nearby
-                          // bandwidth bucket, served while the tenant's
-                          // breaker is open
 };
 
 [[nodiscard]] const char* status_name(Status status);
@@ -155,21 +150,14 @@ struct PlanReply {
   bool coalesced = false;
   /// The plan came from the PlanCache (no Planner run for this request).
   bool cache_hit = false;
-  /// Degraded mode: the plan was computed for a NEARBY bandwidth bucket
-  /// (reported in bandwidth_bucket_mbps) while the tenant's breaker was
-  /// open.  True exactly when the stale flag bit is set.
-  bool stale = false;
   /// The quantized bandwidth the plan was actually computed at.
   double bandwidth_bucket_mbps = 0.0;
   double makespan_ms = 0.0;
   /// Scheduled cut mix, ascending by cut index; counts sum to n_jobs.
   std::vector<CutMix> mix;
 
+  /// The reply carries a plan.
   [[nodiscard]] bool ok() const { return status == Status::kOk; }
-  /// The reply carries a usable plan (fresh or degraded-mode stale).
-  [[nodiscard]] bool has_plan() const {
-    return status == Status::kOk || status == Status::kOkStale;
-  }
 
   friend bool operator==(const PlanReply&, const PlanReply&) = default;
 };

@@ -30,7 +30,7 @@ double steady_now_ms() {
       .count();
 }
 
-// Deadline test shared by all three checks; a zero deadline never expires.
+// Deadline test shared by both checks; a zero deadline never expires.
 bool deadline_expired(const PlanRequest& request, double arrival_ms) {
   return request.deadline_ms > 0.0 &&
          steady_now_ms() - arrival_ms >= request.deadline_ms;
@@ -79,7 +79,7 @@ class RequestTracer {
     if (!active_) return;
     plan_ms_ = obs::Registry::global().now_ms() - start_ms_;
     status_ = status_name(reply.status);
-    error_ = !reply.has_plan();
+    error_ = !reply.ok();
     if (reply.coalesced) root_->arg("coalesced", "1");
     if (reply.cache_hit) root_->arg("cache_hit", "1");
     root_->arg("status", status_);
@@ -302,8 +302,7 @@ double quantize_bandwidth(double bandwidth_mbps, double step_mbps) {
 Server::Server(ServerOptions options)
     : options_(std::move(options)),
       admission_(options_.tenant_rate_per_sec, options_.tenant_burst),
-      cache_(std::max<std::size_t>(1, options_.cache_shards)),
-      breaker_(options_.breaker) {
+      cache_(std::max<std::size_t>(1, options_.cache_shards)) {
   options_.max_inflight = std::max<std::size_t>(1, options_.max_inflight);
 
   // The recorder is process-wide; the most recently constructed server's
@@ -377,29 +376,6 @@ PlanReply Server::to_reply(const PlanOutcome& outcome, int n_jobs) const {
   return reply;
 }
 
-PlanReply Server::stale_reply(const PlanRequest& request,
-                              const core::PlanCacheKey& key) {
-  static obs::Counter& stale_counter = obs::counter("serve.stale_served");
-
-  obs::Span span("serve.stale_lookup", "serve");
-  double stale_bw = 0.0;
-  auto decision = cache_.nearest_plan(key, &stale_bw);
-  if (!decision) {
-    return error_reply(Status::kUnavailable,
-                       "breaker open for tenant '" + request.tenant +
-                           "' and no stale plan cached");
-  }
-  PlanReply reply =
-      to_reply({std::move(decision), true, stale_bw}, key.n_jobs);
-  reply.status = Status::kOkStale;
-  reply.stale = true;
-  reply.message = "breaker open; stale plan from bucket " +
-                  std::to_string(stale_bw) + " Mbps";
-  stale_served_.fetch_add(1, std::memory_order_relaxed);
-  stale_counter.add();
-  return reply;
-}
-
 PlanReply Server::handle_plan(const PlanRequest& request) {
   // The tracer owns the trace for the whole request (admission through
   // reply); process_plan's spans nest under its root "serve.request" span.
@@ -421,30 +397,13 @@ PlanReply Server::deadline_reply(const PlanRequest& request,
 
 PlanReply Server::finish_reply(const PlanRequest& request, double arrival_ms,
                                PlanReply reply) {
-  static obs::Counter& breaker_opens = obs::counter("serve.breaker_opens");
-  static obs::Gauge& breaker_gauge = obs::gauge("serve.breaker_open");
-
-  // Deadline check 3/3: the plan is ready (cached or just computed) but too
+  // Deadline check 2/2: the plan is ready (cached or just computed) but too
   // late.  A computed plan stays cached (the NEXT request gets it cheaply);
   // only this reply turns into kDeadlineExceeded.
   if (reply.status == Status::kOk && deadline_expired(request, arrival_ms)) {
     const bool was_coalesced = reply.coalesced;
     reply = deadline_reply(request, "before reply");
     reply.coalesced = was_coalesced;
-  }
-
-  if (options_.breaker_enabled) {
-    // kInternal (planner broken) and kDeadlineExceeded (planner too slow)
-    // are server-health failures; client-caused statuses are not.
-    const bool failure = reply.status == Status::kInternal ||
-                         reply.status == Status::kDeadlineExceeded;
-    breaker_.record(request.tenant, steady_now_ms(), failure,
-                    steady_now_ms() - arrival_ms);
-    const std::uint64_t opens_now = breaker_.opens();
-    const std::uint64_t opens_prev =
-        breaker_opens_seen_.exchange(opens_now, std::memory_order_relaxed);
-    if (opens_now > opens_prev) breaker_opens.add(opens_now - opens_prev);
-    breaker_gauge.set(static_cast<double>(breaker_.open_count()));
   }
   return reply;
 }
@@ -457,14 +416,13 @@ PlanReply Server::process_plan(const PlanRequest& request) {
   static obs::Counter& shed_overload = obs::counter("serve.shed_overload");
   static obs::Histogram& plan_ms = obs::histogram("serve.plan_ms");
   static obs::Gauge& inflight_gauge = obs::gauge("serve.inflight");
-  static obs::Gauge& breaker_gauge = obs::gauge("serve.breaker_open");
 
   const double arrival_ms = steady_now_ms();
   obs::ScopedTimer timer(plan_ms);
   requests_.fetch_add(1, std::memory_order_relaxed);
   requests_total.add();
 
-  // Covers validation, deadline checks, rate limiting, and the breaker gate;
+  // Covers validation, the admission deadline check and rate limiting;
   // reset just before the cache lookup so "time spent being admitted" is
   // separable from "time spent finding a plan" in the trace.
   std::optional<obs::Span> admission_span;
@@ -499,7 +457,7 @@ PlanReply Server::process_plan(const PlanRequest& request) {
         options_.debug_admission_delay_ms));
   }
 
-  // Deadline check 1/3: a request that arrives already expired (or expired
+  // Deadline check 1/2: a request that arrives already expired (or expired
   // in the accept queue) must not consume an admission token.
   if (deadline_expired(request, arrival_ms))
     return deadline_reply(request, "at admission");
@@ -511,25 +469,10 @@ PlanReply Server::process_plan(const PlanRequest& request) {
                        "tenant '" + request.tenant + "' over rate limit");
   }
 
-  // Deadline check 2/3: before any planning work is queued.  Running this
-  // BEFORE the breaker gate means an expired probe never needs cancelling.
-  if (deadline_expired(request, arrival_ms))
-    return deadline_reply(request, "before planning");
-
-  // The one key of this request: the plan cache, the stale lookup and the
-  // coalescing map all use it.
+  // The one key of this request: the plan cache and the coalescing map both
+  // use it.
   const core::PlanCacheKey key(request.model, options_.device.name, bucket,
                                request.strategy, request.n_jobs);
-
-  CircuitBreaker::Decision decision = CircuitBreaker::Decision::kClosed;
-  if (options_.breaker_enabled) {
-    decision = breaker_.admit(request.tenant, steady_now_ms());
-    if (decision == CircuitBreaker::Decision::kOpen) {
-      breaker_gauge.set(static_cast<double>(breaker_.open_count()));
-      return stale_reply(request, key);
-    }
-  }
-  const bool probe = decision == CircuitBreaker::Decision::kProbe;
 
   admission_span.reset();
 
@@ -560,16 +503,11 @@ PlanReply Server::process_plan(const PlanRequest& request) {
     } else {
       // Checked under inflight_mutex_: stop() waits for every leader
       // admitted here, and none is admitted once stopping_ is set.
-      if (stopping_.load(std::memory_order_acquire)) {
-        if (probe) breaker_.cancel_probe(request.tenant);
+      if (stopping_.load(std::memory_order_acquire))
         return error_reply(Status::kUnavailable, "server is draining");
-      }
       if (inflight_.size() >= options_.max_inflight) {
         shed_overload_.fetch_add(1, std::memory_order_relaxed);
         shed_overload.add();
-        // A shed is not a planning outcome: return the probe slot instead
-        // of recording, or a half-open breaker would wait forever.
-        if (probe) breaker_.cancel_probe(request.tenant);
         return error_reply(Status::kResourceExhausted,
                            "server overloaded (" +
                                std::to_string(inflight_.size()) +
@@ -789,8 +727,6 @@ ServerStats Server::stats() const {
   s.shed_overload = shed_overload_.load(std::memory_order_relaxed);
   s.protocol_errors = protocol_errors_.load(std::memory_order_relaxed);
   s.deadline_exceeded = deadline_exceeded_.load(std::memory_order_relaxed);
-  s.stale_served = stale_served_.load(std::memory_order_relaxed);
-  s.breaker_opens = breaker_.opens();
   s.stats_scrapes = stats_scrapes_.load(std::memory_order_relaxed);
   s.trace_dumps = trace_dumps_.load(std::memory_order_relaxed);
   return s;

@@ -15,8 +15,8 @@
 //     on the bucket's lanes, derived from the model's CandidateLanes: no
 //     per-bucket curve, no Planner or plan, and nothing kept per bucket
 //     but the decision.
-//     Once a request has passed every gate (drain, validation, deadlines,
-//     tenant admission, breaker), a cached key is answered right on the
+//     Once a request has passed every gate (drain, validation, deadline,
+//     tenant admission), a cached key is answered right on the
 //     connection thread: a lock-striped lookup, no inflight slot, the
 //     reply's mix copied from the decision.
 //   * Request coalescing — concurrent cache MISSES for the same (model,
@@ -46,13 +46,9 @@
 //
 // Resilience (PR 8 — see docs/ROBUSTNESS.md "Serve-path resilience"):
 //   * Deadlines — a request may carry a relative deadline_ms budget,
-//     checked at admission, before planning, and again before the reply;
-//     an expired request answers kDeadlineExceeded immediately instead of
-//     occupying the planner (a computed plan still lands in the cache).
-//   * Circuit breaker — per-tenant rolling failure window (serve/breaker.h);
-//     when open, requests skip planning and degrade to the nearest-
-//     bandwidth stale plan from the cache, tagged kOkStale.  No stale
-//     candidate => kUnavailable.
+//     checked at admission and again before the reply; an expired request
+//     answers kDeadlineExceeded instead of a plan (a computed plan still
+//     lands in the cache).
 //
 // Observability (PR 10 — see docs/OBSERVABILITY.md "Request tracing"):
 //   * Tracing — every request runs under an obs::TraceContext (adopted from
@@ -94,7 +90,6 @@
 #include "partition/profile_curve.h"
 #include "profile/device.h"
 #include "serve/admission.h"
-#include "serve/breaker.h"
 #include "serve/protocol.h"
 #include "serve/transport.h"
 #include "util/mutex.h"
@@ -123,11 +118,6 @@ struct ServerOptions {
   std::size_t cache_shards = 8;
   /// Device whose latency model plans are computed against.
   profile::DeviceProfile device = profile::DeviceProfile::raspberry_pi_4b();
-  /// Per-tenant circuit breaker (degraded mode).  The defaults need >= 8
-  /// failed outcomes in a 32-request window, which no healthy workload
-  /// reaches; set breaker_enabled = false to disable entirely.
-  bool breaker_enabled = true;
-  BreakerOptions breaker{};
   /// Test hook: artificial delay inside each miss's decision (ms).  Lets tests
   /// hold a leader's computation open deterministically to observe
   /// coalescing and overload shedding.  0 in production.
@@ -157,10 +147,6 @@ struct ServerStats {
   std::uint64_t shed_overload = 0;
   std::uint64_t protocol_errors = 0;
   std::uint64_t deadline_exceeded = 0;
-  /// Degraded-mode replies served from a stale bucket (kOkStale).
-  std::uint64_t stale_served = 0;
-  /// Closed -> open breaker transitions across all tenants.
-  std::uint64_t breaker_opens = 0;
   /// Live introspection ops answered (kStats / kTraceDump frames).
   std::uint64_t stats_scrapes = 0;
   std::uint64_t trace_dumps = 0;
@@ -236,22 +222,17 @@ class Server {
   /// The reply for `outcome`'s decision, its cut mix spread over n_jobs.
   [[nodiscard]] PlanReply to_reply(const PlanOutcome& outcome,
                                    int n_jobs) const;
-  /// Degraded-mode reply for an open breaker: nearest-bucket stale plan
-  /// (kOkStale) or kUnavailable when the cache has no candidate.
-  [[nodiscard]] PlanReply stale_reply(const PlanRequest& request,
-                                      const core::PlanCacheKey& key);
   /// kDeadlineExceeded reply, counted; `where` names the check that fired.
   [[nodiscard]] PlanReply deadline_reply(const PlanRequest& request,
                                          const char* where);
   /// The tail every planned reply (cache hit or computed plan) goes through:
-  /// deadline check 3 and the breaker's record of the outcome.
+  /// the deadline check before the reply.
   [[nodiscard]] PlanReply finish_reply(const PlanRequest& request,
                                        double arrival_ms, PlanReply reply);
 
   ServerOptions options_;
   TenantAdmission admission_;
   core::ShardedPlanCache cache_;
-  CircuitBreaker breaker_;
 
   std::atomic<bool> stopping_{false};
 
@@ -292,11 +273,8 @@ class Server {
   std::atomic<std::uint64_t> shed_overload_{0};
   std::atomic<std::uint64_t> protocol_errors_{0};
   std::atomic<std::uint64_t> deadline_exceeded_{0};
-  std::atomic<std::uint64_t> stale_served_{0};
   std::atomic<std::uint64_t> stats_scrapes_{0};
   std::atomic<std::uint64_t> trace_dumps_{0};
-  // Last breaker_.opens() mirrored into the serve.breaker_opens counter.
-  std::atomic<std::uint64_t> breaker_opens_seen_{0};
 };
 
 }  // namespace jps::serve

@@ -243,29 +243,6 @@ TEST(ShardedPlanCache, FindPlanLookupsAddUpAcrossShards) {
   EXPECT_EQ(stats.plan_hits, 5u);
 }
 
-TEST(ShardedPlanCache, NearestPlanPicksTheClosestBucketAcrossShards) {
-  ShardedPlanCache cache(4);
-  for (const double mbps : {2.0, 4.0, 6.0}) {
-    (void)cache.plan({"alexnet", "pi4b", mbps, Strategy::kJPS, 4},
-                     ShardedPlanCache::ValueBuilder([mbps] {
-                       return PlanDecision{1, 2, 3, mbps * 10.0};
-                     }));
-  }
-  double bw = 0.0;
-  const auto at = [&](double want, int n_jobs = 4) {
-    return cache.nearest_plan({"alexnet", "pi4b", want, Strategy::kJPS, n_jobs},
-                              &bw);
-  };
-  ASSERT_NE(at(5.5), nullptr);
-  EXPECT_EQ(bw, 6.0);
-  EXPECT_EQ(at(5.5)->predicted_makespan, 60.0);
-  ASSERT_NE(at(5.0), nullptr);  // equidistant: ties go to the lower bucket
-  EXPECT_EQ(bw, 4.0);
-  ASSERT_NE(at(0.1), nullptr);
-  EXPECT_EQ(bw, 2.0);
-  EXPECT_EQ(at(5.0, 8), nullptr);  // every other key field must match
-}
-
 TEST(ShardedPlanCache, RoutingIsDeterministicAndInRange) {
   ShardedPlanCache cache(8);
   const CurveCacheKey a{"alexnet", "pi4b", 5.0};

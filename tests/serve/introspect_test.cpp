@@ -64,7 +64,7 @@ TEST_F(IntrospectTest, StatsOpReturnsLiveCountersAsJson) {
   Connection conn(server);
   Client client(std::move(conn.end));
 
-  ASSERT_TRUE(client.plan(request_for("alexnet", 8.0)).has_plan());
+  ASSERT_TRUE(client.plan(request_for("alexnet", 8.0)).ok());
   const StatsReply reply = client.scrape_stats();
   EXPECT_EQ(reply.status, Status::kOk);
 
@@ -88,7 +88,7 @@ TEST_F(IntrospectTest, TraceDumpYieldsValidSpanTrees) {
   Client client(std::move(conn.end));
 
   for (int i = 0; i < 3; ++i)
-    ASSERT_TRUE(client.plan(request_for("alexnet", 8.0)).has_plan());
+    ASSERT_TRUE(client.plan(request_for("alexnet", 8.0)).ok());
 
   const TraceDumpReply reply = client.trace_dump();
   EXPECT_EQ(reply.status, Status::kOk);
@@ -131,7 +131,7 @@ TEST_F(IntrospectTest, ClientPropagatesTheCallersTraceContext) {
   const obs::TraceContext caller = obs::TraceContext::start();
   {
     obs::TraceScope scope(caller);
-    ASSERT_TRUE(client.plan(request_for("nin", 4.0)).has_plan());
+    ASSERT_TRUE(client.plan(request_for("nin", 4.0)).ok());
   }
 
   const std::vector<obs::TraceRecord> records =
@@ -174,7 +174,7 @@ TEST_F(IntrospectTest, PreV3IntrospectionFramesGetErrorRepliesNotHangups) {
   write_frame(*stream, encode_plan_request(request_for("alexnet", 8.0)));
   const auto ok = read_frame(*stream);
   ASSERT_TRUE(ok.has_value());
-  EXPECT_TRUE(decode_plan_reply(*ok).has_plan());
+  EXPECT_TRUE(decode_plan_reply(*ok).ok());
 
   stream->close();
   server.stop();
@@ -244,7 +244,7 @@ TEST_F(IntrospectTest, ScrapesStayConsistentUnderConcurrentLoad) {
       for (int r = 0; r < kRequests; ++r) {
         const PlanRequest request =
             request_for(models[(c + r) % 3], 4.0 + (c + r) % 3);
-        if (!client.plan(request).has_plan()) failures.fetch_add(1);
+        if (!client.plan(request).ok()) failures.fetch_add(1);
         plans_done.fetch_add(1);
       }
       client.close();

@@ -2,7 +2,7 @@
 // runs through Server::serve's connection threads with the checker in its
 // strictest mode (kAbort, hook-captured) and must produce ZERO diagnostics
 // — the server's real acquisition orders (stop -> connections/inflight,
-// connections -> pipe, inflight -> breaker, plan-cache -> obs registry)
+// connections -> pipe, plan-cache -> obs registry)
 // are all consistent, and the checker must agree under genuine
 // concurrency, not just in the synthetic ABBA test.
 #include <gtest/gtest.h>

@@ -126,9 +126,16 @@ TEST(Protocol, UnknownStrategyAndStatusCodesThrow) {
   payload[payload.size() - 37] = 0x7F;
   EXPECT_THROW((void)decode_plan_request(payload), ProtocolError);
 
-  std::string reply = encode_plan_reply(sample_reply());
-  reply[3] = 0x7F;  // status byte right after the header
-  EXPECT_THROW((void)decode_plan_reply(reply), ProtocolError);
+  // The status byte sits right after the header.  7 (retired OK_STALE) is
+  // refused like every code past kDeadlineExceeded.
+  for (const int status : {7, 8, 0x7F}) {
+    std::string reply = encode_plan_reply(sample_reply());
+    reply[3] = static_cast<char>(status);
+    EXPECT_THROW((void)decode_plan_reply(reply), ProtocolError) << status;
+    std::string stats = encode_stats_reply(StatsReply{});
+    stats[3] = static_cast<char>(status);
+    EXPECT_THROW((void)decode_stats_reply(stats), ProtocolError) << status;
+  }
 }
 
 TEST(Protocol, HostileMixCountRefusedBeforeAllocation) {
@@ -152,12 +159,10 @@ TEST(Versioning, V2RequestCarriesTheDeadline) {
 }
 
 TEST(Versioning, V2ReplyRoundTripsTheNewStatuses) {
-  for (const Status s : {Status::kOkStale, Status::kDeadlineExceeded}) {
-    PlanReply reply = sample_reply();
-    reply.status = s;
-    if (s == Status::kOkStale) reply.stale = true;
-    EXPECT_EQ(decode_plan_reply(encode_plan_reply(reply)).status, s);
-  }
+  PlanReply reply = sample_reply();
+  reply.status = Status::kDeadlineExceeded;
+  EXPECT_EQ(decode_plan_reply(encode_plan_reply(reply)).status,
+            Status::kDeadlineExceeded);
 }
 
 TEST(Versioning, OutOfRangeVersionsAreRefused) {
@@ -185,7 +190,6 @@ TEST(Protocol, RetryableStatusVocabulary) {
   EXPECT_TRUE(status_is_retryable(Status::kUnavailable));
   EXPECT_TRUE(status_is_retryable(Status::kDeadlineExceeded));
   EXPECT_FALSE(status_is_retryable(Status::kOk));
-  EXPECT_FALSE(status_is_retryable(Status::kOkStale));
   EXPECT_FALSE(status_is_retryable(Status::kInvalidArgument));
   EXPECT_FALSE(status_is_retryable(Status::kNotFound));
   EXPECT_FALSE(status_is_retryable(Status::kResourceExhausted));

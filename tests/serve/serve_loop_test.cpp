@@ -415,10 +415,9 @@ TEST(ServeLoop, ClosingTheListenerMidLoadAnswersEveryAdmittedRequestOnce) {
   // Drain refusals are the one outcome the server does not count itself.
   EXPECT_EQ(stats.requests, stats.cache_hits + stats.plans_computed +
                                 stats.coalesce_hits + stats.shed_total() +
-                                stats.deadline_exceeded + stats.stale_served +
+                                stats.deadline_exceeded +
                                 static_cast<std::uint64_t>(unavailable.load()));
   EXPECT_EQ(stats.deadline_exceeded, 0u);
-  EXPECT_EQ(stats.stale_served, 0u);
   EXPECT_EQ(server.inflight(), 0u);
   EXPECT_TRUE(server.stopped());
 }

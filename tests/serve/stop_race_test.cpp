@@ -38,7 +38,8 @@ TEST(ServerStopRace, EveryStopperSeesTheFullDrainPostcondition) {
         quantize_bandwidth(request.bandwidth_mbps,
                            options.bandwidth_bucket_mbps),
         request.strategy, request.n_jobs);
-    std::thread requester([&] { (void)server.handle_plan(request); });
+    PlanReply reply;
+    std::thread requester([&] { reply = server.handle_plan(request); });
     // The drain starts only once the leader is admitted, so stop() must
     // wait for its decision.
     while (server.inflight() == 0) std::this_thread::yield();
@@ -47,19 +48,22 @@ TEST(ServerStopRace, EveryStopperSeesTheFullDrainPostcondition) {
     const auto stop_and_check = [&] {
       server.stop();
       // stop()'s contract: by the time ANY caller returns, no leader is
-      // pending and the leader's decision is cached under its exact key
-      // (nearest_plan reports the key's own bandwidth).
+      // pending and the leader's decision is cached under its exact key.
       if (server.inflight() != 0) violations.fetch_add(1);
-      double cached_mbps = 0.0;
-      if (server.cache().nearest_plan(key, &cached_mbps) == nullptr ||
-          cached_mbps != key.bandwidth_mbps)
-        violations.fetch_add(1);
+      if (server.cache().find_plan(key) == nullptr) violations.fetch_add(1);
     };
     std::thread stopper_a(stop_and_check);
     std::thread stopper_b(stop_and_check);
     stopper_a.join();
     stopper_b.join();
     requester.join();
+
+    // The cached decision is the one the leader replied with.
+    const auto cached = server.cache().find_plan(key);
+    ASSERT_NE(cached, nullptr) << "iteration " << iteration;
+    ASSERT_TRUE(reply.ok()) << reply.message;
+    EXPECT_EQ(cached->predicted_makespan, reply.makespan_ms);
+    EXPECT_EQ(cached->mix(request.n_jobs), reply.mix);
 
     EXPECT_EQ(violations.load(), 0) << "iteration " << iteration;
     EXPECT_TRUE(server.stopped());

@@ -94,11 +94,6 @@ void usage() {
       "  --tenant-rate X       per-tenant requests/sec (default 0 = unlimited)\n"
       "  --tenant-burst X      per-tenant burst allowance (default 16)\n"
       "  --cache-shards N      plan-cache lock stripes (default 8)\n"
-      "  --no-breaker          disable the per-tenant circuit breaker\n"
-      "  --breaker-window N    rolling outcomes per tenant (default 32)\n"
-      "  --breaker-min-samples N   outcomes before judgement (default 8)\n"
-      "  --breaker-ratio X     open at this failure ratio (default 0.5)\n"
-      "  --breaker-cooldown-ms X   wait before the probe (default 1000)\n"
       "  --metrics-out FILE    write a metrics snapshot at shutdown\n"
       "  --metrics-format F    openmetrics (default) or json\n"
       "  --metrics-interval-ms X   also rewrite --metrics-out every X ms\n"
@@ -142,9 +137,8 @@ Flags operator+(Flags a, const Flags& b) {
 // Read by server_options().
 const Flags kServerFlags = {
     "max-inflight", "bucket-mbps", "tenant-rate", "tenant-burst",
-    "cache-shards", "no-breaker", "breaker-window", "breaker-min-samples",
-    "breaker-ratio", "breaker-cooldown-ms", "no-flight-recorder",
-    "trace-capacity", "trace-sample-every"};
+    "cache-shards", "no-flight-recorder", "trace-capacity",
+    "trace-sample-every"};
 // Read by connect_client().
 const Flags kClientFlags = {"host", "port", "retries", "timeout-ms"};
 
@@ -168,13 +162,6 @@ serve::ServerOptions server_options(const tools::Args& args) {
   options.tenant_burst = args.get_double("tenant-burst", 16.0);
   options.cache_shards =
       static_cast<std::size_t>(args.get_int("cache-shards", 8));
-  options.breaker_enabled = !args.has("no-breaker");
-  options.breaker.window =
-      static_cast<std::size_t>(args.get_int("breaker-window", 32));
-  options.breaker.min_samples =
-      static_cast<std::size_t>(args.get_int("breaker-min-samples", 8));
-  options.breaker.failure_ratio = args.get_double("breaker-ratio", 0.5);
-  options.breaker.cooldown_ms = args.get_double("breaker-cooldown-ms", 1000.0);
   options.flight_recorder_enabled = !args.has("no-flight-recorder");
   options.flight_recorder_capacity =
       static_cast<std::size_t>(args.get_int("trace-capacity", 0));
@@ -188,12 +175,11 @@ serve::ServerOptions server_options(const tools::Args& args) {
 void print_reply(const serve::PlanReply& reply) {
   std::cout << "status: " << serve::status_name(reply.status) << "\n";
   if (!reply.message.empty()) std::cout << "message: " << reply.message << "\n";
-  if (!reply.has_plan()) return;
+  if (!reply.ok()) return;
   std::cout << "bandwidth_bucket_mbps: " << reply.bandwidth_bucket_mbps << "\n"
             << "makespan_ms: " << reply.makespan_ms << "\n"
             << "coalesced: " << (reply.coalesced ? "yes" : "no") << "\n"
             << "cache_hit: " << (reply.cache_hit ? "yes" : "no") << "\n"
-            << "stale: " << (reply.stale ? "yes" : "no") << "\n"
             << "mix:";
   for (const serve::CutMix& m : reply.mix)
     std::cout << " cut" << m.cut << "x" << m.count;
@@ -281,8 +267,9 @@ int cmd_serve(const tools::Args& args) {
             << " shed=" << stats.shed_total()
             << " protocol_errors=" << stats.protocol_errors
             << " deadline_exceeded=" << stats.deadline_exceeded
-            << " stale_served=" << stats.stale_served
-            << " breaker_opens=" << stats.breaker_opens << std::endl;
+            // perfbench's check_round still requires these two keys at 0;
+            // they go with the ROADMAP benchmark-wording item.
+            << " stale_served=0 breaker_opens=0" << std::endl;
 
   if (args.has("metrics-out")) {
     obs::write_metrics_file(args.get("metrics-out", "metrics.txt"),
@@ -325,7 +312,7 @@ int cmd_plan(const tools::Args& args) {
   serve::Client client = connect_client(args);
   const serve::PlanReply reply = client.plan(request);
   print_reply(reply);
-  return reply.has_plan() ? 0 : 1;
+  return reply.ok() ? 0 : 1;
 }
 
 int cmd_ping(const tools::Args& args) {
@@ -456,7 +443,7 @@ std::vector<Case> build_cases(const serve::ServerOptions& options,
 
 bool verify_reply(const Case& expect, const serve::PlanReply& reply,
                   const char* where) {
-  if (reply.has_plan() && reply.makespan_ms == expect.expected_makespan)
+  if (reply.ok() && reply.makespan_ms == expect.expected_makespan)
     return true;
   std::fprintf(stderr,
                "selfcheck[%s]: %s mismatch (status %s, got %.17g, "
@@ -624,7 +611,7 @@ int selfcheck_introspect(serve::InProcessListener& listener,
 
     const serve::StatsReply before = client.scrape_stats();
     const util::Json before_json = util::Json::parse(before.json);
-    if (!client.plan(cases[0].request).has_plan()) {
+    if (!client.plan(cases[0].request).ok()) {
       std::fprintf(stderr, "selfcheck[introspect]: plan between scrapes failed\n");
       ++failures;
     }
